@@ -60,42 +60,6 @@ std::vector<int> parse_int_list(const std::string& csv,
 // The deterministic slice of a SimResult (the bench_recovery discipline:
 // everything except wall-clock accounting), serialized byte-stably so a
 // plain string compare is the assertion.
-std::string result_fingerprint(const SimResult& r) {
-  std::string out = "{\"scheduler\":\"" + r.scheduler_name + "\"";
-  const auto num = [&out](const char* key, double v) {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    obs::append_json_double(out, v);
-  };
-  num("avg_jct", r.avg_jct);
-  num("p99_jct", r.p99_jct);
-  num("makespan", r.makespan);
-  num("avg_queue_length", r.avg_queue_length);
-  num("avg_blocking_index", r.avg_blocking_index);
-  for (std::size_t i = 0; i < r.avg_utilization.size(); ++i) {
-    num("util", r.avg_utilization[i]);
-    num("busy", r.resource_busy_seconds[i]);
-  }
-  num("gamma_pred", r.avg_group_gamma_predicted);
-  num("gamma_real", r.avg_group_gamma_realized);
-  num("gamma_err", r.avg_group_gamma_error);
-  num("finished", r.finished_jobs);
-  num("unfinished", r.unfinished_jobs);
-  num("faults", static_cast<double>(r.faults));
-  num("restarts", static_cast<double>(r.restarts));
-  num("machine_failures", static_cast<double>(r.machine_failures));
-  num("evictions", static_cast<double>(r.evictions));
-  num("invocations", static_cast<double>(r.scheduler_invocations));
-  out += ",\"jcts\":[";
-  for (std::size_t i = 0; i < r.jcts.size(); ++i) {
-    if (i != 0) out += ',';
-    obs::append_json_double(out, r.jcts[i]);
-  }
-  out += "]}";
-  return out;
-}
-
 MuriOptions make_options(int top_k, int threads, bool incremental,
                          bool durations_known) {
   MuriOptions opt;

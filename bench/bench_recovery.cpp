@@ -39,39 +39,6 @@ namespace {
 
 using namespace muri;
 
-// The deterministic slice of a SimResult: everything except wall-clock
-// accounting (scheduler_wall_ms is real time and never reproducible).
-// Byte-stable by the same rules as the decision log, so `cmp` works.
-std::string result_json(const SimResult& r) {
-  std::string out = "{\"scheduler\":\"" + r.scheduler_name + "\",\"trace\":\"" +
-                    r.trace_name + "\"";
-  const auto num = [&out](const char* key, double v) {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    obs::append_json_double(out, v);
-  };
-  num("avg_jct", r.avg_jct);
-  num("p99_jct", r.p99_jct);
-  num("makespan", r.makespan);
-  num("avg_queue_length", r.avg_queue_length);
-  num("avg_utilization_gpu", r.avg_utilization[3]);
-  num("finished_jobs", r.finished_jobs);
-  num("unfinished_jobs", r.unfinished_jobs);
-  num("faults", static_cast<double>(r.faults));
-  num("restarts", static_cast<double>(r.restarts));
-  num("machine_failures", static_cast<double>(r.machine_failures));
-  num("evictions", static_cast<double>(r.evictions));
-  num("scheduler_invocations", static_cast<double>(r.scheduler_invocations));
-  out += ",\"jcts\":[";
-  for (std::size_t i = 0; i < r.jcts.size(); ++i) {
-    if (i != 0) out += ',';
-    obs::append_json_double(out, r.jcts[i]);
-  }
-  out += "]}\n";
-  return out;
-}
-
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return false;
@@ -179,7 +146,7 @@ int main(int argc, char** argv) {
               << " records to " << wal_path << '\n';
   }
 
-  const std::string json = result_json(result);
+  const std::string json = result_fingerprint(result) + "\n";
   if (!result_out.empty()) {
     if (!write_file(result_out, json)) {
       std::cerr << "bench_recovery: cannot write " << result_out << '\n';

@@ -1489,4 +1489,60 @@ SimResult run_simulation(const Trace& trace, Scheduler& scheduler,
   return result;
 }
 
+std::string result_fingerprint(const SimResult& r) {
+  std::string out = "{\"scheduler\":\"" + r.scheduler_name +
+                    "\",\"trace\":\"" + r.trace_name + "\"";
+  const auto num = [&out](const char* key, double v) {
+    out += ",\"";
+    out += key;
+    out += "\":";
+    obs::append_json_double(out, v);
+  };
+  num("avg_jct", r.avg_jct);
+  num("p99_jct", r.p99_jct);
+  num("makespan", r.makespan);
+  num("avg_queue_length", r.avg_queue_length);
+  num("avg_blocking_index", r.avg_blocking_index);
+  for (std::size_t i = 0; i < r.avg_utilization.size(); ++i) {
+    num("util", r.avg_utilization[i]);
+    num("busy", r.resource_busy_seconds[i]);
+  }
+  num("avg_running_jobs", r.avg_running_jobs);
+  num("avg_group_width", r.avg_group_width);
+  num("avg_normalized_rate", r.avg_normalized_rate);
+  num("gamma_pred", r.avg_group_gamma_predicted);
+  num("gamma_real", r.avg_group_gamma_realized);
+  num("gamma_err", r.avg_group_gamma_error);
+  num("finished", r.finished_jobs);
+  num("unfinished", r.unfinished_jobs);
+  num("faults", static_cast<double>(r.faults));
+  num("restarts", static_cast<double>(r.restarts));
+  num("machine_failures", static_cast<double>(r.machine_failures));
+  num("evictions", static_cast<double>(r.evictions));
+  num("straggler_seconds", r.straggler_seconds);
+  num("degraded_group_seconds", r.degraded_group_seconds);
+  num("invocations", static_cast<double>(r.scheduler_invocations));
+  num("profiler_sessions", r.profiler_sessions);
+  num("profiling_time", r.profiling_time);
+  out += ",\"jcts\":[";
+  for (std::size_t i = 0; i < r.jcts.size(); ++i) {
+    if (i != 0) out += ',';
+    obs::append_json_double(out, r.jcts[i]);
+  }
+  out += "],\"breakdown\":[";
+  for (std::size_t i = 0; i < r.jct_breakdown.size(); ++i) {
+    const JctBreakdown& b = r.jct_breakdown[i];
+    if (i != 0) out += ',';
+    out += '[' + std::to_string(b.job) + ',';
+    obs::append_json_double(out, b.queueing_seconds);
+    out += ',';
+    obs::append_json_double(out, b.running_seconds);
+    out += ',';
+    obs::append_json_double(out, b.restart_overhead_seconds);
+    out += ',' + std::to_string(b.preemptions) + ']';
+  }
+  out += "]}";
+  return out;
+}
+
 }  // namespace muri

@@ -218,6 +218,13 @@ struct SimResult {
   Duration profiling_time = 0;
 };
 
+// The deterministic slice of a SimResult as one JSON object (no trailing
+// newline), doubles printed round-trip exact: every field a fixed seed
+// reproduces bit for bit. Wall-clock fields (scheduler_wall_ms) and the
+// opt-in time series are left out. Equivalence benches and golden tests
+// compare these strings.
+std::string result_fingerprint(const SimResult& result);
+
 // Runs `scheduler` over `trace` and returns the collected metrics.
 // The scheduler object may carry state across rounds (AntMan does); pass a
 // fresh instance per run.
