@@ -120,6 +120,11 @@ std::string admitted_json(const QueuedSubmission& s) {
   return out;
 }
 
+Job make_job(const JobSpec& spec, JobId id, Time submit_time) {
+  return Job{id, spec.model, spec.num_gpus, submit_time, spec.iterations,
+             model_profile(spec.model, spec.num_gpus)};
+}
+
 }  // namespace
 
 // Engine-side feed of the live SLO plane. Runs inside engine calls (under
@@ -286,7 +291,9 @@ bool MuriDaemon::start(std::string* error) {
     jobtrace_->set_metrics(&registry_);
   }
 
-  EngineOptions eng;
+  // The daemon serves the fault-free execution model: the engine's fault
+  // processes stay at their zero-rate defaults.
+  SimOptions eng;
   eng.cluster = options_.cluster;
   eng.exec = options_.exec;
   eng.restart_penalty = options_.restart_penalty_s;
@@ -294,8 +301,8 @@ bool MuriDaemon::start(std::string* error) {
   eng.profiler = options_.profiler;
   eng.decisions = &log_;
   eng.jobtrace = jobtrace_.get();
-  eng.observer = observer_.get();
-  engine_ = std::make_unique<ServiceEngine>(*scheduler_, eng);
+  engine_ = std::make_unique<ExecutionEngine>(*scheduler_, eng, sim_base_,
+                                              observer_.get());
   queue_ = std::make_unique<AdmissionQueue>(options_.queue_capacity);
 
   wall_base_ = Clock::now();
@@ -317,7 +324,7 @@ bool MuriDaemon::start(std::string* error) {
       return static_cast<double>(engine_->running_jobs());
     });
     history_->add_probe("sim_time", obs::ProbeKind::kGauge,
-                        [this] { return engine_->last_advance(); });
+                        [this] { return engine_->now(); });
     history_->add_probe("submission_rate", obs::ProbeKind::kRate, [this] {
       return static_cast<double>(queue_->stats().accepted);
     });
@@ -346,9 +353,20 @@ bool MuriDaemon::start(std::string* error) {
         .num("restart_penalty", options_.restart_penalty_s);
     if (!recovered_.empty()) e.integer("resumed", 1);
   }
+  // Re-admission keeps the original submit time and the checkpointed
+  // progress. The timeline opens at the restore instant: pre-crash spans
+  // are gone, so the job is marked restored.
   for (const auto& [id, job] : recovered_) {
     if (job.terminal) continue;
-    engine_->restore(job.spec, id, job.submit_time, job.done, sim_base_);
+    engine_->submit(make_job(job.spec, id, job.submit_time), job.spec.name,
+                    job.spec.deadline_s, job.done);
+    log_.entry("job_restore")
+        .num("t", sim_base_)
+        .integer("job", id)
+        .num("done", job.done);
+    if (jobtrace_ != nullptr) {
+      jobtrace_->submitted(id, sim_base_, /*restored=*/true);
+    }
     ++recovered_resumed_;
   }
 
@@ -383,13 +401,11 @@ void MuriDaemon::stop(const char* reason) {
   if (was_running && engine_ != nullptr) {
     std::lock_guard<std::mutex> lock(engine_mu_);
     const Time now = sim_now();
-    engine_->advance_to(now);
+    advance_engine(now);
     // Persist what the queue still holds: every drained submission writes
     // a durable job_submit, so a restart re-queues it (no job lost).
-    for (const QueuedSubmission& s : queue_->drain()) {
-      engine_->submit(s.spec, s.id, s.submit_time);
-    }
-    engine_->checkpoint_progress(now);
+    for (const QueuedSubmission& s : queue_->drain()) admit(s);
+    engine_->checkpoint_progress();
     log_.entry("daemon_stop").num("t", now).str("reason", reason);
     update_gauges();
   }
@@ -399,6 +415,29 @@ void MuriDaemon::stop(const char* reason) {
   }
   log_.set_sink(nullptr);
   if (exporter_ != nullptr) exporter_->stop();
+}
+
+void MuriDaemon::advance_engine(Time t) {
+  while (engine_->now() < t) {
+    const Time before = engine_->now();
+    engine_->progress_to(std::clamp(engine_->next_event_time(), before, t));
+    // A zero-length step that settles nothing cannot make progress.
+    if (!engine_->settle() && engine_->now() == before) break;
+  }
+  engine_->progress_to(t);
+}
+
+void MuriDaemon::admit(const QueuedSubmission& s) {
+  engine_->submit(make_job(s.spec, s.id, s.submit_time), s.spec.name,
+                  s.spec.deadline_s);
+  auto e = log_.entry("job_submit");
+  e.num("t", s.submit_time)
+      .integer("job", s.id)
+      .str("model", muri::to_string(s.spec.model))
+      .integer("gpus", s.spec.num_gpus)
+      .integer("iterations", s.spec.iterations);
+  if (!s.spec.name.empty()) e.str("name", s.spec.name);
+  if (jobtrace_ != nullptr) jobtrace_->submitted(s.id, s.submit_time);
 }
 
 void MuriDaemon::pump(Time now, bool force_round) {
@@ -416,10 +455,8 @@ void MuriDaemon::pump(Time now, bool force_round) {
     if (history_ != nullptr) history_->append("loop_stall_s", wnow, stall_s);
   }
 
-  engine_->advance_to(now);
-  for (const QueuedSubmission& s : queue_->drain()) {
-    engine_->submit(s.spec, s.id, s.submit_time);
-  }
+  advance_engine(now);
+  for (const QueuedSubmission& s : queue_->drain()) admit(s);
   if (engine_->dirty() && !round_pending_) {
     round_pending_ = true;
     round_due_ = Clock::now() +
@@ -440,7 +477,7 @@ void MuriDaemon::pump(Time now, bool force_round) {
         sink_ != nullptr ? sink_->io_stats()
                          : recovery::DurableSink::IoStats{};
     const auto t0 = Clock::now();
-    engine_->run_round(now);
+    engine_->run_round();
     const double round_s =
         std::chrono::duration<double>(Clock::now() - t0).count();
     last_round_sim_ = now;
@@ -504,7 +541,7 @@ void MuriDaemon::loop() {
       if (round_pending_) {
         deadline = std::min(deadline, round_due_);
       }
-      const Time nf = engine_->next_finish_time();
+      const Time nf = engine_->next_event_time();
       if (std::isfinite(nf) && options_.compression > 0) {
         const double wall_s = (nf - sim_base_) / options_.compression;
         deadline = std::min(
@@ -544,7 +581,7 @@ void MuriDaemon::update_gauges() {
   registry_.gauge("muri_daemon_running_jobs", "Jobs currently placed")
       .set(static_cast<double>(engine_->running_jobs()));
   registry_.gauge("muri_daemon_sim_time", "Simulated clock (seconds)")
-      .set(engine_->last_advance());
+      .set(engine_->now());
   registry_
       .gauge("muri_daemon_rounds_total", "Scheduling rounds run")
       .set(static_cast<double>(engine_->rounds_run()));
@@ -803,10 +840,10 @@ void MuriDaemon::handle_stats(obs::HttpResponse& resp) {
     out += "}";
   }
   out += ",\"engine\":{\"last_round_t\":" + fmt_num(last_round_sim_);
-  const Time nf = engine_->next_finish_time();
+  const Time nf = engine_->next_event_time();
   out += ",\"next_finish_t\":";
   out += std::isfinite(nf) ? fmt_num(nf) : std::string("null");
-  out += ",\"last_advance_t\":" + fmt_num(engine_->last_advance());
+  out += ",\"last_advance_t\":" + fmt_num(engine_->now());
   out += "}";
   out += ",\"wait_buckets\":{\"enabled\":";
   out += jobtrace_ != nullptr ? "true" : "false";

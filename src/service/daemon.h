@@ -3,7 +3,7 @@
 //
 // One process owns the whole stack: an HTTP front door (obs/http_exporter
 // with the job API mounted as its handler), a bounded admission queue
-// (admission.h), the online scheduling engine (engine.h), a scheduler
+// (admission.h), the execution engine (sim/engine.h), a scheduler
 // instance, a DecisionLog with an optional durable WAL tap
 // (recovery/durable), and a metrics registry. A single event-loop thread
 // sequences everything that touches the engine:
@@ -27,7 +27,8 @@
 // WAL to rebuild the job table (job_submit/job_restore give specs,
 // job_progress the checkpointed iterations, finish/job_cancel retire
 // ids), continues the simulated clock from the recovered state, resumes
-// round numbering, and re-admits unfinished jobs via engine.restore() —
+// round numbering, and re-admits unfinished jobs with their checkpointed
+// progress —
 // an accepted job survives any crash that happens after its job_submit
 // record hit the WAL. Graceful stop() closes that window: it stops
 // admitting (503), drains the queue into the engine, checkpoints
@@ -53,7 +54,7 @@
 #include "recovery/durable.h"
 #include "scheduler/scheduler.h"
 #include "service/admission.h"
-#include "service/engine.h"
+#include "sim/engine.h"
 #include "sim/exec_model.h"
 
 namespace muri::service {
@@ -205,6 +206,11 @@ class MuriDaemon {
   void loop();
   // One loop-body pass at simulated time `now`; engine_mu_ must be held.
   void pump(Time now, bool force_round);
+  // Moves the engine to `t` event by event, so completions land on their
+  // exact instants; engine_mu_ must be held.
+  void advance_engine(Time t);
+  // Hands a drained submission to the engine and writes its job_submit.
+  void admit(const QueuedSubmission& s);
   void update_gauges();
   Time wall_to_sim(std::chrono::steady_clock::time_point t) const;
   // Watchdog evaluation; engine_mu_ must be held (counts transitions).
@@ -215,7 +221,7 @@ class MuriDaemon {
   obs::DecisionLog log_;
   std::unique_ptr<recovery::DurableSink> sink_;
   std::unique_ptr<Scheduler> scheduler_;
-  std::unique_ptr<ServiceEngine> engine_;
+  std::unique_ptr<ExecutionEngine> engine_;
   std::unique_ptr<AdmissionQueue> queue_;
   std::unique_ptr<obs::HttpExporter> exporter_;
   // Per-job span recorder; null when jobtrace_enabled is off.

@@ -3,10 +3,9 @@
 // Given the ground-truth profiles of a group's members and its sharing
 // mode, computes the per-member wall seconds per iteration and the
 // schedule-time γ prediction. This is the single source of truth for the
-// period arithmetic: the offline simulator's apply-plan path, its
-// degraded-group re-plan path, and the online service engine
-// (src/service/engine) all call it, so a job submitted to the live daemon
-// progresses at exactly the rate the batch simulator would charge it.
+// period arithmetic: the execution engine (sim/engine) calls it when it
+// places a plan and when it re-plans a degraded group, for the batch
+// simulator and the live daemon alike.
 //
 //  - exclusive job (or any single member): period = Σ_r t^r; a multi-member
 //    exclusive group time-shares sequentially (period sum as the window).
@@ -31,15 +30,34 @@
 
 namespace muri {
 
-// The execution-model knobs, a verbatim subset of SimOptions (same names,
-// same defaults — sim/simulator.h documents each).
+// The execution-model knobs (SimOptions::exec).
 struct ExecModelParams {
+  // Interleaving overhead per extra group member (residual contention;
+  // §6.2 explains why grouped speedups fall short of ideal). Calibrated so
+  // testbed-scale runs land near the paper's reported speedups while the
+  // Table 2 four-job group stays in the ~2-3× total-normalized band.
   double alpha = 0.02;
+  // Schedule-quality penalty: a group whose best achievable interleaving
+  // efficiency γ (Eq. 4) is low cannot pipeline its stages cleanly, so its
+  // demands inflate by (1 + gamma_penalty·(1-γ)). This is the execution-
+  // side counterpart of the paper's claim that γ predicts interleaving
+  // quality — and what makes Blossom's γ-maximizing matching actually pay
+  // off at run time (Fig. 11).
   double gamma_penalty = 0.20;
+  // Interference inflation for uncoordinated (AntMan-style) sharing; the
+  // §2.1 example (two identical jobs run at ~half speed) corresponds to
+  // x = 1/(2·(1+β)/2) ≈ 0.5 at β ≈ 0.4.
   double beta = 0.4;
+  // Extra slowdown per log2(GPU-count ratio) for mixed-size groups (only
+  // reachable with Muri bucketing disabled).
   double cascade_penalty = 0.25;
+  // Per-resource contention inflation (see sim/fluid.h): same-bottleneck
+  // co-location gains almost nothing (§2.1, Fig. 13's one-type case).
   double contention_penalty = 0.10;
   double significant_duty = 0.25;
+  // Barrier waste per unit of relative gap between the scheduler's planned
+  // rotation period and the true one — how inaccurate profiles hurt
+  // (Fig. 14).
   double misplan_penalty = 0.5;
 };
 

@@ -35,6 +35,7 @@
 #include "job/trace.h"
 #include "profiler/profiler.h"
 #include "scheduler/scheduler.h"
+#include "sim/exec_model.h"
 
 namespace muri::obs {
 class DecisionLog;
@@ -51,33 +52,10 @@ struct SimOptions {
   Duration schedule_interval = 360;
   // Cost of (re)starting a job whose group or admission changed.
   Duration restart_penalty = 30;
-  // Interleaving overhead per extra group member (residual contention;
-  // §6.2 explains why grouped speedups fall short of ideal). Calibrated so
-  // testbed-scale runs land near the paper's reported speedups while the
-  // Table 2 four-job group stays in the ~2-3× total-normalized band.
-  double alpha = 0.02;
-  // Schedule-quality penalty: a group whose best achievable interleaving
-  // efficiency γ (Eq. 4) is low cannot pipeline its stages cleanly, so its
-  // demands inflate by (1 + gamma_penalty·(1-γ)). This is the execution-
-  // side counterpart of the paper's claim that γ predicts interleaving
-  // quality — and what makes Blossom's γ-maximizing matching actually pay
-  // off at run time (Fig. 11).
-  double gamma_penalty = 0.20;
-  // Interference inflation for uncoordinated (AntMan-style) sharing; the
-  // §2.1 example (two identical jobs run at ~half speed) corresponds to
-  // x = 1/(2·(1+β)/2) ≈ 0.5 at β ≈ 0.4.
-  double beta = 0.4;
-  // Extra slowdown per log2(GPU-count ratio) for mixed-size groups (only
-  // reachable with Muri bucketing disabled).
-  double cascade_penalty = 0.25;
-  // Per-resource contention inflation (see sim/fluid.h): same-bottleneck
-  // co-location gains almost nothing (§2.1, Fig. 13's one-type case).
-  double contention_penalty = 0.10;
-  double significant_duty = 0.25;
-  // Barrier waste per unit of relative gap between the scheduler's planned
-  // rotation period and the true one — how inaccurate profiles hurt
-  // (Fig. 14).
-  double misplan_penalty = 0.5;
+  // Execution-model knobs (sim/exec_model.h documents each): interleave
+  // overhead, γ and mis-planning penalties, uncoordinated interference,
+  // mixed-GPU cascade and per-resource contention.
+  ExecModelParams exec{};
   // Fault injection (§3/§5: the executor reports faults and the job is
   // pushed back to the queue). Mean time between failures per *running
   // job* in hours; 0 disables. Progress is checkpointed at iteration

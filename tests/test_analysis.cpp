@@ -38,11 +38,11 @@ SimOptions noise_free_options() {
   opt.schedule_interval = 60;
   opt.durations_known = true;
   opt.restart_penalty = 0;
-  opt.alpha = 0;
-  opt.gamma_penalty = 0;
-  opt.cascade_penalty = 0;
-  opt.contention_penalty = 0;
-  opt.misplan_penalty = 0;
+  opt.exec.alpha = 0;
+  opt.exec.gamma_penalty = 0;
+  opt.exec.cascade_penalty = 0;
+  opt.exec.contention_penalty = 0;
+  opt.exec.misplan_penalty = 0;
   return opt;
 }
 

@@ -102,10 +102,10 @@ TEST(ExecutionModel, InterleavedPairMatchesFluidPrediction) {
   const InterleavePlan best = plan_interleave(stages);
   const double gamma = group_efficiency(stages, best.period);
   FluidOptions fluid;
-  fluid.inflation = (1.0 + opt.alpha) *
-                    (1.0 + opt.gamma_penalty * (1.0 - gamma));
-  fluid.contention_penalty = opt.contention_penalty;
-  fluid.significant_duty = opt.significant_duty;
+  fluid.inflation = (1.0 + opt.exec.alpha) *
+                    (1.0 + opt.exec.gamma_penalty * (1.0 - gamma));
+  fluid.contention_penalty = opt.exec.contention_penalty;
+  fluid.significant_duty = opt.exec.significant_duty;
   const auto rates = max_min_fair_rates(profiles, fluid);
   const double expected_jct0 =
       static_cast<double>(t.jobs[0].iterations) *
@@ -199,7 +199,7 @@ TEST(ExecutionModel, MixedGpuGroupPaysCascadePenalty) {
     g.mode = GroupMode::kInterleaved;
     ScriptedScheduler s({g});
     SimOptions opt = base_options(1, 2);
-    opt.cascade_penalty = cascade;
+    opt.exec.cascade_penalty = cascade;
     return run_simulation(t, s, opt).makespan;
   };
   const double same_size = run_gpus(2, 0.25);
