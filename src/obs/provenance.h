@@ -42,7 +42,9 @@
 //   deferred      jobs:[ids], reason                   (beyond the prefix)
 //   round_end     groups, admitted, rejected, contended
 //   placement     t, jobs:[ids], gpus, mode, machines:[ids], owner
-//   placement_skip t, jobs:[ids], gpus, reason, available_gpus
+//   placement_skip t, jobs:[ids], gpus, reason [, available_gpus]
+//                 (no_capacity only: GPUs in the allocatable pool, i.e.
+//                 on machines neither down nor on probation)
 //   preempt       t, job, reason
 //   restart       t, job, reason
 //   evict         t, job, machine, reason
@@ -51,7 +53,7 @@
 //   machine_up    t, machine
 //   degraded_continue t, jobs:[ids], gamma [, mode]
 //   finish        t, job, jct, queueing, running, restart_overhead,
-//                 preemptions
+//                 preemptions   (queueing counts from engine admission)
 //   sim_end       t, makespan, finished, unfinished
 //   exec_group    names:[strings], slots, offsets, mode  (live executor)
 //   exec_result   names:[strings], gamma, killed

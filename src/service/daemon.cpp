@@ -1,5 +1,6 @@
 #include "service/daemon.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>

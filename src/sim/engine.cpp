@@ -639,10 +639,10 @@ void ExecutionEngine::replan_degraded(RunningGroup& g) {
   for (JobId id : g.members) {
     ready_at = std::max(ready_at, jobs_[static_cast<size_t>(id)].ready_at);
   }
-  const std::int64_t gid = group_seq_ + 1;
   GroupAccount* const acct_ptr = open_account(g.members, home, g.mode,
                                               ex.gamma_pred, ready_at);
   acct_ptr->degraded = true;
+  const std::int64_t gid = group_seq_;
 
   for (size_t i = 0; i < p; ++i) {
     JobState& s = jobs_[static_cast<size_t>(g.members[i])];
@@ -927,9 +927,9 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
       // Attribution follows the placement if the unchanged group moved.
       if (acct_ptr != nullptr) acct_ptr->machine = home;
     } else {
-      gid = group_seq_ + 1;
       acct_ptr = open_account(group->members, home, group->mode,
                               ex.gamma_pred, now_ + options_.restart_penalty);
+      gid = group_seq_;
     }
 
     for (size_t i = 0; i < p; ++i) {

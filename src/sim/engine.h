@@ -243,7 +243,8 @@ class ExecutionEngine {
   RunningGroup* leave_group(OwnerId owner, JobId id, bool release_if_empty);
   static GroupKey make_key(const std::vector<JobId>& members, GroupMode mode,
                            int num_gpus);
-  // Opens the account of a new incarnation (id ++group_seq_) at now().
+  // Opens the account of a new incarnation at now(); its id is the new
+  // group_seq_.
   GroupAccount* open_account(const std::vector<JobId>& members,
                              MachineId home, GroupMode mode,
                              double gamma_predicted, Time ready_at);

@@ -17,9 +17,8 @@
 //  - uncoordinated sharing: the same fluid model with the larger
 //    interference inflation (1+β) and no coordination benefit.
 //
-// The arithmetic (multiplication order included) is bit-identical to the
-// historical inline code in sim/simulator.cpp; tier-1 byte-stability tests
-// pin that equivalence.
+// The arithmetic (multiplication order included) is pinned by the golden
+// tests (tests/golden): any change to it moves their digests.
 #pragma once
 
 #include <vector>

@@ -2,11 +2,14 @@
 //
 // The paper validates its simulator against the 64-GPU testbed at <3%
 // metric error and uses it for all large-trace results; this is our
-// testbed substitute (DESIGN.md §2). The engine advances between events
-// (arrival, completion, scheduling tick), invokes the scheduler on rounds
-// where the queue changed, places the returned groups on the cluster in
-// plan order, and runs each group under the execution model of DESIGN.md
-// §5:
+// testbed substitute (DESIGN.md §2). run_simulation is a driver over the
+// execution engine (sim/engine.h) that the live daemon runs too: it
+// submits trace arrivals, advances the engine to the earliest of the next
+// arrival, the engine's next event (completion, job fault, machine event)
+// and the scheduling interval, and runs a round whenever the queue
+// changed or jobs wait. The engine places each plan on the cluster in
+// plan order and runs every group under the execution model of
+// DESIGN.md §5 (sim/exec_model.h):
 //
 //  - exclusive job:      per-iteration wall time = Σ_r t^r;
 //  - interleaved group:  max-min fair fluid rates (sim/fluid.h) with
@@ -46,6 +49,8 @@ class Tracer;
 
 namespace muri {
 
+// Options of one simulation, and of the execution engine (sim/engine.h),
+// which reads everything here except schedule_interval and max_time.
 struct SimOptions {
   ClusterSpec cluster{};
   // Scheduling round interval (§5 uses six minutes).
@@ -98,7 +103,7 @@ struct SimOptions {
   // skipped groups with cause, preempt/restart/evict/fault events, and
   // degraded-group continuations — stamped with the scheduler's round id.
   // The same sink is also attached to the scheduler (set_decision_log) by
-  // run_simulation, so one log carries both halves of a round's story.
+  // the engine, so one log carries both halves of a round's story.
   // Null (the default) disables all of it; SimResult is bit-identical
   // either way.
   obs::DecisionLog* decisions = nullptr;
