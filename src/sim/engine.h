@@ -106,8 +106,9 @@ class ExecutionEngine {
   ExecutionEngine(const ExecutionEngine&) = delete;
   ExecutionEngine& operator=(const ExecutionEngine&) = delete;
 
-  // Admits `job` (ids must be fresh). Its queueing clock runs from
-  // job.submit_time; `done_iterations` restores checkpointed progress.
+  // Admits `job` at now() (ids must be fresh). Its JCT counts from
+  // job.submit_time, its queueing from now(); `done_iterations` restores
+  // checkpointed progress.
   // `name` and `deadline_s` (start deadline, 0 = none) serve the daemon.
   void submit(const Job& job, std::string name = {}, double deadline_s = 0,
               double done_iterations = 0);
