@@ -9,12 +9,6 @@ namespace muri {
 
 namespace {
 
-// Identifies the pool (if any) the current thread belongs to, so nested
-// parallel_for calls from a worker run inline instead of re-enqueuing —
-// a worker that blocked waiting on tasks only its own queue can run would
-// deadlock the pool.
-thread_local const ThreadPool* t_current_pool = nullptr;
-
 // Shared state of one parallel_for call. Enqueued runners hold it via
 // shared_ptr: a runner that wakes up after the loop already drained (and
 // the caller returned) must still find its chunk list alive.
@@ -70,12 +64,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-bool ThreadPool::on_worker_thread() const noexcept {
-  return t_current_pool == this;
-}
-
 void ThreadPool::worker_loop() {
-  t_current_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -119,17 +108,16 @@ std::vector<std::pair<std::int64_t, std::int64_t>> ThreadPool::partition(
 void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
                               const std::function<void(std::int64_t)>& body) {
   if (end <= begin) return;
-  // Serial fast paths: no workers, a one-element range, or a nested call
-  // from one of our own workers (which must not block on the queue).
-  if (workers() == 0 || end - begin == 1 || on_worker_thread()) {
+  // Serial fast paths: no workers or a one-element range.
+  if (workers() == 0 || end - begin == 1) {
     for (std::int64_t i = begin; i < end; ++i) body(i);
     return;
   }
 
   auto state = std::make_shared<LoopState>();
   // Over-split relative to the thread count so a slow chunk (one expensive
-  // bucket, a heavy row of the matching graph) rebalances onto idle
-  // threads; boundaries stay a pure function of the range.
+  // bucket or component) rebalances onto idle threads; boundaries stay a
+  // pure function of the range.
   state->chunks = partition(begin, end, concurrency() * 4);
   state->body = body;
 

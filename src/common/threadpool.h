@@ -1,19 +1,19 @@
 // Fixed-worker thread pool with a deterministic parallel_for.
 //
-// Built for the scheduler's round hot path (parallel matching-graph
-// construction, concurrent per-bucket grouping): a scheduling round fans
-// out index ranges whose iterations write to disjoint, index-owned slots,
-// so the *assignment* of chunks to threads may be racy while the *output*
-// stays bit-identical to a serial run. The pool therefore promises only:
+// Built for the scheduler's round hot path, which fans out over GPU
+// buckets and then over (bucket, component) work items: each index range's
+// iterations write to disjoint, index-owned slots, so the *assignment* of
+// chunks to threads may be racy while the *output* stays bit-identical to
+// a serial run. The pool therefore promises only:
 //
 //  - every index in [begin, end) is executed exactly once;
 //  - chunk boundaries are a pure function of (range, max_chunks) — see
 //    partition() — never of thread timing;
 //  - parallel_for returns only after every index has completed, and
-//    rethrows the first exception a body threw;
-//  - calls from one of the pool's own worker threads run inline (no new
-//    tasks), so nested use — a bucket task that itself parallelizes its
-//    edge loop — cannot deadlock.
+//    rethrows the first exception a body threw.
+//
+// Parallelism is one level deep: a loop body must not call parallel_for
+// on the same pool.
 //
 // The calling thread participates in the loop, so a pool with W workers
 // gives W+1-way concurrency. A pool with 0 workers degenerates to a plain
@@ -45,9 +45,6 @@ class ThreadPool {
 
   // Worker threads plus the calling thread.
   int concurrency() const noexcept { return workers() + 1; }
-
-  // True when called from one of this pool's worker threads.
-  bool on_worker_thread() const noexcept;
 
   // Runs body(i) for every i in [begin, end), blocking until all indices
   // have executed. Iterations must only write to locations owned by their

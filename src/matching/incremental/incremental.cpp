@@ -415,14 +415,14 @@ void PairGammaCache::age(std::int64_t current_round, std::int64_t max_age) {
   }
 }
 
-bool ComponentPairHook::lookup(int u, int v, double* gamma) const {
+bool ComponentPairHook::lookup(int u, int v, double* gamma) {
   const auto su = static_cast<std::size_t>(u);
   const auto sv = static_cast<std::size_t>(v);
   const bool hit =
       cache_ != nullptr &&
       cache_->lookup(ids_[su], (*profiles_)[su], ids_[sv], (*profiles_)[sv],
                      gamma);
-  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  ++(hit ? hits_ : misses_);
   return hit;
 }
 

@@ -42,16 +42,17 @@
 //      groups (and its provenance capture, when a DecisionLog is
 //      attached) are folded forward without re-running Blossom at all.
 //
-// Thread-safety contract: all lookup paths are const and safe to call
-// concurrently; all mutation happens through explicit serial fold steps
-// (PendingPairStores, insert calls) that the round driver executes in
+// Thread-safety contract: a bucket's TopKMask and ComponentResultCache
+// lookups run in that bucket's own task; PairGammaCache lookups are
+// const and run concurrently from the (bucket, component) work items,
+// each through its own ComponentPairHook. All cache mutation happens in
+// the round driver's serial fold (PendingPairStores, store calls) in
 // deterministic (bucket, component) order. Cache evolution is therefore
 // identical for every thread count, which keeps incremental rounds
 // bit-identical across the num_threads axis, same as the rest of the
 // scheduler.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
@@ -257,50 +258,46 @@ struct PendingPairStore {
   double gamma = 0;
 };
 
-// Hook the grouping core consults for round-0 pairwise γ values.
-// `lookup` may be called concurrently (const); `store` is called from
-// the core's serial fold loop only, once per admissible round-0 pair,
-// with the final γ. Implementations must return values bit-identical to
-// what pairwise_efficiency would compute — the cache guarantees this by
-// validating the full profile bits.
+// Hook the grouping core consults for round-0 pairwise γ values: one
+// `lookup`, then one `store` with the final γ, per admissible round-0
+// pair, all from the thread running that grouping call. Implementations
+// must return values bit-identical to what pairwise_efficiency would
+// compute — the cache guarantees this by validating the full profile
+// bits.
 class PairGammaHook {
  public:
   virtual ~PairGammaHook() = default;
-  virtual bool lookup(int u, int v, double* gamma) const = 0;
+  virtual bool lookup(int u, int v, double* gamma) = 0;
   virtual void store(int u, int v, double gamma) = 0;
 };
 
 // PairGammaHook over one component: maps component-local indices to job
 // ids + profiles, reads the shared cache, and buffers stores locally so
-// concurrent components never race on the cache. Atomic hit/miss
-// counters are deterministic across thread counts because the *set* of
-// lookups is (every admissible round-0 pair of the component).
+// concurrent components never race on the cache. Hit/miss counts are
+// deterministic because the set of lookups is (every admissible round-0
+// pair of the component).
 class ComponentPairHook final : public PairGammaHook {
  public:
   ComponentPairHook(const PairGammaCache* cache, std::vector<JobId> ids,
                     const std::vector<ResourceVector>* profiles)
       : cache_(cache), ids_(std::move(ids)), profiles_(profiles) {}
 
-  bool lookup(int u, int v, double* gamma) const override;
+  bool lookup(int u, int v, double* gamma) override;
   void store(int u, int v, double gamma) override;
 
   const std::vector<PendingPairStore>& pending() const noexcept {
     return pending_;
   }
-  std::int64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  std::int64_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
+  std::int64_t hits() const noexcept { return hits_; }
+  std::int64_t misses() const noexcept { return misses_; }
 
  private:
   const PairGammaCache* cache_ = nullptr;
   std::vector<JobId> ids_;
   const std::vector<ResourceVector>* profiles_ = nullptr;
   std::vector<PendingPairStore> pending_;
-  mutable std::atomic<std::int64_t> hits_{0};
-  mutable std::atomic<std::int64_t> misses_{0};
+  std::int64_t hits_ = 0;
+  std::int64_t misses_ = 0;
 };
 
 // Whole-component grouping results folded forward across rounds. Keyed

@@ -1,14 +1,12 @@
 #include "scheduler/muri.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cmath>
 #include <map>
 #include <numeric>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/threadpool.h"
@@ -33,33 +31,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// γ-memoization across the log₂k rounds, keyed by the sorted member-index
-// set of the union an edge would create. Within one round every union set
-// is distinct (nodes partition the members), so a key can only repeat
-// across rounds — exactly the case of two super-nodes that both survived
-// a matching unmatched and whose pair edge would otherwise be recomputed
-// from scratch. Because a node's member list never changes once formed,
-// a cached γ is bit-identical to what re-evaluation would produce.
-struct MemberSetHash {
-  size_t operator()(const std::vector<int>& v) const noexcept {
-    size_t h = 0x9e3779b97f4a7c15ull ^ v.size();
-    for (int x : v) {
-      h ^= static_cast<size_t>(x) + 0x9e3779b97f4a7c15ull + (h << 6) +
-           (h >> 2);
-    }
-    return h;
-  }
-};
-using GammaCache = std::unordered_map<std::vector<int>, double, MemberSetHash>;
-
-void union_key(const GroupNode& a, const GroupNode& b, std::vector<int>& key) {
-  key.clear();
-  key.reserve(a.members.size() + b.members.size());
-  key.insert(key.end(), a.members.begin(), a.members.end());
-  key.insert(key.end(), b.members.begin(), b.members.end());
-  std::sort(key.begin(), key.end());
-}
-
 // Folds one round's GroupingStats into the registry. Counters are bumped
 // once per schedule() call in call order, the same fold order
 // cumulative_stats_ uses, so the registry reproduces those doubles
@@ -76,11 +47,8 @@ void export_round_metrics(obs::MetricsRegistry& m, const GroupingStats& round,
   m.counter("muri_sched_matching_seconds_total",
             "Wall seconds inside Blossom matching")
       .inc(round.matching_seconds);
-  m.counter("muri_sched_gamma_cache_hits_total",
-            "Gamma evaluations avoided by the memoization cache")
-      .inc(static_cast<double>(round.cache_hits));
-  m.counter("muri_sched_gamma_cache_misses_total",
-            "Gamma evaluations performed")
+  m.counter("muri_sched_gamma_evals_total",
+            "Admissible node pairs priced for the matching graph")
       .inc(static_cast<double>(round.cache_misses));
   m.counter("muri_sched_matchings_total", "Blossom invocations")
       .inc(static_cast<double>(round.matchings_run));
@@ -147,8 +115,7 @@ void export_round_metrics(obs::MetricsRegistry& m, const GroupingStats& round,
 
 std::vector<std::vector<int>> multi_round_grouping(
     const std::vector<ResourceVector>& profiles, int max_group_size,
-    ThreadPool* pool, GroupingStats* stats, GroupingCapture* capture,
-    PairGammaHook* pair_hook) {
+    GroupingStats* stats, GroupingCapture* capture, PairGammaHook* pair_hook) {
   assert(max_group_size >= 1);
   std::vector<GroupNode> nodes;
   nodes.reserve(profiles.size());
@@ -161,7 +128,8 @@ std::vector<std::vector<int>> multi_round_grouping(
     return singletons;
   }
 
-  GammaCache gamma_cache;
+  PlanScratch scratch;
+  std::vector<ResourceVector> group;
   const int rounds = static_cast<int>(
       std::ceil(std::log2(static_cast<double>(max_group_size))));
   for (int round = 0; round < rounds; ++round) {
@@ -173,43 +141,25 @@ std::vector<std::vector<int>> multi_round_grouping(
     // γ closed form; for merged nodes it is the true γ of the group the
     // merge would create (a super-node "is" its member set, so
     // interleaving two super-nodes means interleaving all their members).
-    //
-    // Each row u owns graph cells (u, v) for v > u and set_weight writes
-    // only those two mirrored slots, so rows are data-race free and the
-    // assembled graph is bit-identical for any thread count. The γ-cache
-    // is read-only during this phase; misses are folded in serially below.
     const auto t_graph = Clock::now();
     DenseGraph graph(n);
-    std::atomic<bool> any_edge{false};
-    const auto eval_row = [&](std::int64_t row) {
-      const int u = static_cast<int>(row);
-      thread_local PlanScratch scratch;
-      thread_local std::vector<ResourceVector> group;
-      thread_local std::vector<int> key;
+    bool any_edge = false;
+    for (int u = 0; u < n; ++u) {
       const GroupNode& a = nodes[static_cast<size_t>(u)];
-      bool row_edge = false;
       for (int v = u + 1; v < n; ++v) {
         const GroupNode& b = nodes[static_cast<size_t>(v)];
         const int combined =
             static_cast<int>(a.members.size() + b.members.size());
         if (combined > max_group_size) continue;
+        if (stats != nullptr) ++stats->cache_misses;
+        // Round 0 offers every pair as two singletons. The cross-round
+        // pair memo (matching/incremental) validates full profile bits,
+        // so a hit is bit-identical to recomputation.
+        const bool pair = round == 0 && pair_hook != nullptr;
         double gamma = 0;
-        bool cached = false;
-        if (round > 0) {  // round 0 starts with a provably empty cache
-          union_key(a, b, key);
-          const auto it = gamma_cache.find(key);
-          if (it != gamma_cache.end()) {
-            gamma = it->second;
-            cached = true;
-          }
-        } else if (combined == 2 && pair_hook != nullptr) {
-          // Cross-round pair memo (matching/incremental): the hook
-          // validates full profile bits, so a hit is bit-identical to
-          // recomputation. Read-only here — stores happen in the serial
-          // fold below.
-          cached = pair_hook->lookup(a.members[0], b.members[0], &gamma);
-        }
-        if (!cached) {
+        const bool memo =
+            pair && pair_hook->lookup(a.members[0], b.members[0], &gamma);
+        if (!memo) {
           if (combined == 2) {
             gamma = pairwise_efficiency(
                 profiles[static_cast<size_t>(a.members[0])],
@@ -227,45 +177,12 @@ std::vector<std::vector<int>> multi_round_grouping(
         }
         if (gamma > 0) {
           graph.set_weight(u, v, gamma);
-          row_edge = true;
+          any_edge = true;
         }
-      }
-      if (row_edge) any_edge.store(true, std::memory_order_relaxed);
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(0, n, eval_row);
-    } else {
-      for (int u = 0; u < n; ++u) eval_row(u);
-    }
-
-    // Fold this round's γ values into the cache. γ ≥ 0 always and edges
-    // with γ == 0 are simply absent from the graph, so the cell value *is*
-    // the computed γ. try_emplace finding the key present means an earlier
-    // round cached it — a hit the parallel phase already exploited (a pair
-    // of nodes that both survived a matching unmatched and would otherwise
-    // be recomputed from scratch). A miss therefore counts exactly one γ
-    // evaluation, a hit exactly one avoided.
-    {
-      std::vector<int> key;
-      for (int u = 0; u < n; ++u) {
-        for (int v = u + 1; v < n; ++v) {
-          const GroupNode& a = nodes[static_cast<size_t>(u)];
-          const GroupNode& b = nodes[static_cast<size_t>(v)];
-          const int combined =
-              static_cast<int>(a.members.size() + b.members.size());
-          if (combined > max_group_size) continue;
-          union_key(a, b, key);
-          const bool inserted =
-              gamma_cache.try_emplace(key, graph.weight(u, v)).second;
-          if (stats != nullptr) {
-            ++(inserted ? stats->cache_misses : stats->cache_hits);
-          }
-          if (round == 0 && combined == 2 && pair_hook != nullptr) {
-            // Every admissible round-0 pair reports its final γ — cell
-            // value 0 means "computed γ is 0", never "absent", because
-            // round 0 offers every pair.
-            pair_hook->store(a.members[0], b.members[0], graph.weight(u, v));
-          }
+        // The hook records the cell value: 0 means "computed γ is 0",
+        // never "absent", because round 0 offers every pair.
+        if (pair) {
+          pair_hook->store(a.members[0], b.members[0], graph.weight(u, v));
         }
       }
     }
@@ -293,7 +210,7 @@ std::vector<std::vector<int>> multi_round_grouping(
       rec->fallback = true;
       for (int u = 0; u < n; ++u) rec->unmatched.push_back(u);
     };
-    if (!any_edge.load(std::memory_order_relaxed)) {
+    if (!any_edge) {
       record_fallback();
       break;
     }
@@ -348,15 +265,6 @@ std::vector<std::vector<int>> multi_round_grouping(
   return groups;
 }
 
-std::vector<std::vector<int>> multi_round_grouping(
-    const std::vector<ResourceVector>& profiles, int max_group_size,
-    std::int64_t* matchings_run) {
-  GroupingStats stats;
-  auto groups = multi_round_grouping(profiles, max_group_size, nullptr, &stats);
-  if (matchings_run != nullptr) *matchings_run += stats.matchings_run;
-  return groups;
-}
-
 // Cross-round incremental state: one BucketGraphState per GPU-demand
 // bucket key. std::map for deterministic iteration when aging out
 // buckets that stopped appearing.
@@ -380,18 +288,17 @@ MuriScheduler::MuriScheduler(MuriOptions options) : options_(options) {
 
 MuriScheduler::~MuriScheduler() = default;
 
-ThreadPool* MuriScheduler::pool() {
-  int requested = options_.num_threads;
-  if (requested <= 0) {
-    requested = static_cast<int>(std::thread::hardware_concurrency());
-    if (requested <= 0) requested = 1;
+ThreadPool& MuriScheduler::pool() {
+  if (pool_ == nullptr) {
+    int requested = options_.num_threads;
+    if (requested <= 0) {
+      requested = static_cast<int>(std::thread::hardware_concurrency());
+    }
+    // The calling thread participates in every parallel_for, so a request
+    // for t-way concurrency needs t-1 workers; 0 workers runs inline.
+    pool_ = std::make_unique<ThreadPool>(std::max(requested - 1, 0));
   }
-  // The calling thread participates in every parallel_for, so a request
-  // for t-way concurrency needs t-1 workers.
-  const int workers = requested - 1;
-  if (workers <= 0) return nullptr;
-  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(workers);
-  return pool_.get();
+  return *pool_;
 }
 
 std::string MuriScheduler::name() const {
@@ -480,17 +387,9 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
       const std::int64_t dur_us =
           tr.manual_time() ? 0
                            : static_cast<std::int64_t>(wall_seconds * 1e6);
-      obs::TraceArgs args("queue", static_cast<double>(queue.size()),
-                          "groups", static_cast<double>(plan.size()),
-                          "round", static_cast<double>(round_id));
-      // Opt-in only: phase wall times are mode-dependent work counters
-      // (see MuriOptions::trace_phases).
-      if (options_.trace_phases) {
-        args.add("sort_s", last_round_stats_.priority_sort_seconds);
-        args.add("graph_s", last_round_stats_.graph_build_seconds);
-        args.add("match_s", last_round_stats_.matching_seconds);
-        args.add("admit_s", last_round_stats_.admission_seconds);
-      }
+      const obs::TraceArgs args("queue", static_cast<double>(queue.size()),
+                                "groups", static_cast<double>(plan.size()),
+                                "round", static_cast<double>(round_id));
       tr.complete(end_us - dur_us, dur_us, "round", "sched",
                   obs::kSchedulerTrack, 0, args);
     }
@@ -640,7 +539,7 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
   // candidate graph (with top_k == 0 the whole bucket is one component,
   // which is exactly the pre-existing dense path). Results, counters,
   // captures, and deferred cache stores all land in slots owned by the
-  // component so the parallel phase below stays race-free; everything is
+  // component so the parallel phases below stay race-free; everything is
   // folded serially in (bucket, component) order afterwards.
   struct ComponentWork {
     std::vector<int> local;              // bucket-local member indices
@@ -656,22 +555,31 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
 
   std::vector<std::vector<std::vector<int>>> bucket_groups(nb);
   std::vector<GroupingStats> bucket_stats(nb);
+  std::vector<std::vector<ComponentWork>> bucket_work(nb);
   // Per-bucket (component member list, capture) pairs for the decision
   // log, serialized after the parallel phase in (bucket, component)
   // order. Empty when no log is attached.
   std::vector<std::vector<std::pair<std::vector<int>, GroupingCapture>>>
       bucket_comp_captures(nb);
-  ThreadPool* round_pool = pool();
   const bool incremental = options_.incremental && options_.use_blossom;
-  const auto group_bucket = [&](std::int64_t bi_raw) {
+  const auto state_of = [&](size_t bi) -> BucketGraphState* {
+    return incremental ? &incr_->buckets.at(bucket_keys[bi]) : nullptr;
+  };
+  // The round's only parallelism: two flat fan-outs, each body writing
+  // to slots its index owns. Neither body starts another parallel loop.
+  ThreadPool& round_pool = pool();
+
+  // 1. Per bucket: the component split, per-component inputs, and the
+  // component result cache lookup. Each bucket touches only its own
+  // incremental state.
+  const auto split_bucket = [&](std::int64_t bi_raw) {
     const auto bi = static_cast<size_t>(bi_raw);
     const auto& profs = bucket_profiles[bi];
     const auto& ids = bucket_job_ids[bi];
-    auto& groups = bucket_groups[bi];
-    GroupingStats& bstats = bucket_stats[bi];
     if (!options_.use_blossom) {
       // Ablation (§6.4): pack jobs with the same GPU requirement
       // consecutively in descending priority order.
+      auto& groups = bucket_groups[bi];
       std::vector<int> chunk;
       for (int i = 0; i < static_cast<int>(profs.size()); ++i) {
         chunk.push_back(i);
@@ -683,19 +591,19 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
       if (!chunk.empty()) groups.push_back(chunk);
       return;
     }
+    BucketGraphState* state = state_of(bi);
 
-    BucketGraphState* state =
-        incremental ? &incr_->buckets.at(bucket_keys[bi]) : nullptr;
-
-    // 1. Component split — identical in both modes: the same mask (the
-    // maintained one is provably equal to from-scratch, see
-    // matching/incremental) through the same capped union-find. With
-    // top_k == 0 the whole bucket is one component and no mask is built.
-    IncrementalStats istats;
+    // Identical in both modes: the same mask (the maintained one is
+    // provably equal to from-scratch, see matching/incremental) through
+    // the same capped union-find. With top_k == 0 the whole bucket is one
+    // component and no mask is built.
     std::vector<std::vector<int>> comps;
     if (options_.top_k > 0) {
       if (state != nullptr) {
+        IncrementalStats istats;
         state->mask.update(ids, profs, &istats);
+        bucket_stats[bi].dirty_jobs = istats.dirty_jobs;
+        bucket_stats[bi].topk_rescans = istats.topk_rescans;
         comps = split_components(ids, state->mask.edges(),
                                  options_.component_cap);
       } else {
@@ -708,11 +616,9 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
       std::iota(comps.back().begin(), comps.back().end(), 0);
     }
 
-    // 2. Materialize per-component inputs and consult the component
-    // result cache (serially — lookup refreshes the entry's age).
-    const size_t nc = comps.size();
-    std::vector<ComponentWork> work(nc);
-    for (size_t ci = 0; ci < nc; ++ci) {
+    std::vector<ComponentWork>& work = bucket_work[bi];
+    work.resize(comps.size());
+    for (size_t ci = 0; ci < comps.size(); ++ci) {
       ComponentWork& w = work[ci];
       w.local = std::move(comps[ci]);
       if (w.local.size() == 1) {
@@ -740,40 +646,42 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
         }
       }
     }
+  };
+  round_pool.parallel_for(0, static_cast<std::int64_t>(nb), split_bucket);
 
-    // 3. Group the components that were not folded forward. Components
-    // of one bucket run concurrently when there are several (the 10k-job
-    // single-bucket case); a lone component fans its edge loop across
-    // the pool instead — which with top_k == 0 is byte-for-byte the
-    // pre-existing whole-bucket path.
-    const auto run_component = [&](std::int64_t ci_raw) {
-      ComponentWork& w = work[static_cast<size_t>(ci_raw)];
-      if (w.reused || w.trivial) return;
-      if (state != nullptr) {
-        w.hook = std::make_unique<ComponentPairHook>(&state->pair_cache,
-                                                     w.ids, &w.profs);
-      }
-      ThreadPool* inner = nc == 1 ? round_pool : nullptr;
-      w.groups = multi_round_grouping(
-          w.profs, options_.max_group_size, inner, &w.stats,
-          dlog != nullptr ? &w.capture : nullptr, w.hook.get());
-    };
-    if (round_pool != nullptr && nc > 1) {
-      round_pool->parallel_for(0, static_cast<std::int64_t>(nc),
-                               run_component);
-    } else {
-      for (size_t ci = 0; ci < nc; ++ci) {
-        run_component(static_cast<std::int64_t>(ci));
-      }
+  // 2. Group every component that was not folded forward, across all
+  // buckets at once. The pair caches are only read here; their stores
+  // wait in each component's hook for the fold.
+  std::vector<std::pair<size_t, size_t>> items;  // (bucket, component)
+  for (size_t bi = 0; bi < nb; ++bi) {
+    for (size_t ci = 0; ci < bucket_work[bi].size(); ++ci) {
+      const ComponentWork& w = bucket_work[bi][ci];
+      if (!w.reused && !w.trivial) items.emplace_back(bi, ci);
     }
+  }
+  const auto group_component = [&](std::int64_t item) {
+    const auto [bi, ci] = items[static_cast<size_t>(item)];
+    ComponentWork& w = bucket_work[bi][ci];
+    if (BucketGraphState* state = state_of(bi)) {
+      w.hook = std::make_unique<ComponentPairHook>(&state->pair_cache, w.ids,
+                                                   &w.profs);
+    }
+    w.groups = multi_round_grouping(w.profs, options_.max_group_size,
+                                    &w.stats,
+                                    dlog != nullptr ? &w.capture : nullptr,
+                                    w.hook.get());
+  };
+  round_pool.parallel_for(0, static_cast<std::int64_t>(items.size()),
+                          group_component);
 
-    // 4. Serial fold in component order: translate groups to
-    // bucket-local indices, accumulate counters, commit deferred cache
-    // stores. Deterministic regardless of how step 3 was scheduled.
-    bstats.dirty_jobs += istats.dirty_jobs;
-    bstats.topk_rescans += istats.topk_rescans;
-    for (size_t ci = 0; ci < nc; ++ci) {
-      ComponentWork& w = work[ci];
+  // 3. Serial fold in (bucket, component) order: translate groups to
+  // bucket-local indices, accumulate counters, commit deferred cache
+  // stores. Deterministic regardless of how steps 1 and 2 were scheduled.
+  for (size_t bi = 0; bi < nb; ++bi) {
+    auto& groups = bucket_groups[bi];
+    GroupingStats& bstats = bucket_stats[bi];
+    BucketGraphState* state = state_of(bi);
+    for (ComponentWork& w : bucket_work[bi]) {
       bstats.accumulate(w.stats);
       ++bstats.components_total;
       if (w.trivial) {
@@ -826,13 +734,6 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
       // saving; entries live at most kIncrementalMaxAge + 15 rounds.
       state->pair_cache.age(round_seq_, kIncrementalMaxAge);
       state->component_cache.age(round_seq_, kIncrementalMaxAge);
-    }
-  };
-  if (round_pool != nullptr && nb > 1) {
-    round_pool->parallel_for(0, static_cast<std::int64_t>(nb), group_bucket);
-  } else {
-    for (size_t bi = 0; bi < nb; ++bi) {
-      group_bucket(static_cast<std::int64_t>(bi));
     }
   }
   for (const GroupingStats& s : bucket_stats) last_round_stats_.accumulate(s);

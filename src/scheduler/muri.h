@@ -74,12 +74,16 @@ struct MuriOptions {
   // at the same top_k (the incremental-equivalence CI job enforces it) —
   // so it does NOT appear in name(). Default off.
   bool incremental = false;
-  // Threads a scheduling round may use: the matching-graph edge weights
-  // are evaluated in parallel and independent GPU buckets are grouped
-  // concurrently. 0 = hardware concurrency, 1 = the plain serial path.
-  // The plan is bit-identical for every value — parallelism splits work
-  // across write-once slots, it never reorders a floating-point reduction
-  // — so this is purely a latency knob.
+  // Threads a scheduling round may use. A round fans out twice, one
+  // level deep each time: over GPU buckets for the component split, then
+  // over the flattened (bucket, component) list for grouping; each
+  // component's matching graph is built and matched on one thread.
+  // 0 = hardware concurrency, 1 = the plain serial path. The plan is
+  // bit-identical for every value — every work item writes only its own
+  // slot and results are folded serially in (bucket, component) order —
+  // so this is purely a latency knob. It pays when a round has several
+  // sizeable components (several GPU buckets, or top_k > 0); a round
+  // with one component runs on one thread.
   int num_threads = 0;
   // Observability hooks (src/obs), both optional and read-only with
   // respect to the plan: `trace` receives a per-round span on the
@@ -89,15 +93,6 @@ struct MuriOptions {
   // output are bit-identical either way.
   obs::Tracer* trace = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
-  // Append the per-phase wall-time breakdown (sort_s/graph_s/match_s/
-  // admit_s) to the round span's trace args. Default OFF and deliberately
-  // so: phase wall times are work measurements that differ between the
-  // rebuild and incremental paths, so embedding them would break the trace
-  // byte-equality the incremental-equivalence CI gate enforces. Flip it on
-  // for interactive profiling only. The same breakdown is always available
-  // mode-safely via GroupingStats and the muri_sched_phase_seconds
-  // histograms.
-  bool trace_phases = false;
   // Decision provenance sink (src/obs/provenance): per-round priority
   // scores, candidate buckets, every γ edge offered to Blossom, and each
   // group's admission verdict. Same contract as the other two hooks —
@@ -108,14 +103,13 @@ struct MuriOptions {
 };
 
 // Counters for one scheduling round (or one multi_round_grouping call):
-// where the time went and how often the γ-memoization short-circuited a
-// super-node re-evaluation.
+// where the time went and how much γ work the matching graphs took.
 struct GroupingStats {
   // Wall seconds spent building matching-graph edge weights. Summed across
-  // buckets, so with concurrent buckets this can exceed the round's wall
-  // time — it measures work, not latency.
+  // components, so with concurrent components this can exceed the round's
+  // wall time — it measures work, not latency.
   double graph_build_seconds = 0;
-  // Wall seconds inside Blossom matching (summed across buckets).
+  // Wall seconds inside Blossom matching (summed across components).
   double matching_seconds = 0;
   // Wall seconds in the round's remaining phases (the live SLO plane's
   // round breakdown): the initial priority sort, and group
@@ -124,9 +118,10 @@ struct GroupingStats {
   // in byte-compared outputs.
   double priority_sort_seconds = 0;
   double admission_seconds = 0;
-  // γ-cache outcomes: a miss is one γ evaluation performed, a hit one
-  // avoided — a node pair whose members both survived a previous round's
-  // matching unmatched and whose edge weight was therefore already known.
+  // γ work: cache_misses counts every admissible node pair priced for a
+  // matching graph (muri_sched_gamma_evals_total), round-0 pairs served
+  // by the incremental pair cache included. cache_hits is always 0: no
+  // per-call γ memo exists. Both names stay for existing readers.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   // Blossom invocations.
@@ -200,10 +195,10 @@ class MuriScheduler final : public Scheduler {
 
  private:
   double priority_of(const JobView& v) const;
-  // The pool backing this scheduler's rounds per options_.num_threads, or
-  // nullptr for the serial path. Created lazily on the first contended
+  // The pool backing this scheduler's rounds per options_.num_threads (0
+  // workers for the serial path). Created lazily on the first contended
   // round so uncontended workloads never spawn threads.
-  ThreadPool* pool();
+  ThreadPool& pool();
 
   MuriOptions options_;
   std::unique_ptr<ThreadPool> pool_;
@@ -225,33 +220,22 @@ class MuriScheduler final : public Scheduler {
 // the scalability bench. Partitions `profiles` (jobs of one bucket) into
 // groups of at most `max_group_size`, running ceil(log2(max_group_size))
 // rounds of maximum-weight matching with interleaving-efficiency weights.
-// Returns groups as index lists into `profiles`. `matchings_run`, if
-// non-null, is incremented per Blossom invocation.
-std::vector<std::vector<int>> multi_round_grouping(
-    const std::vector<ResourceVector>& profiles, int max_group_size,
-    std::int64_t* matchings_run = nullptr);
-
-// Full-control variant: `pool` (may be null → serial) parallelizes the
-// per-round edge-weight construction; `stats` (may be null) receives
-// timing and γ-cache counters. The returned grouping is bit-identical for
-// every pool size: each (u, v) edge weight is computed exactly once and
-// written to its own slot, the Blossom matching itself runs serially on
-// the assembled graph, and the γ-cache is only ever read during the
-// parallel phase (misses are folded in serially between rounds).
+// Returns groups as index lists into `profiles`. Runs on the calling
+// thread and keeps no state between calls, so independent calls may run
+// concurrently.
+// `stats` (may be null) receives timing and work counters.
 // `capture` (may be null) receives one MatchingRoundRecord per Blossom
 // round — nodes, positive edges, merges, survivors — copied out of the
 // assembled graph after the fact; populating it never changes the result
 // (see matching/capture.h).
 // `pair_hook` (may be null) is consulted for round-0 pairwise γ values
-// (matching/incremental): lookup during the parallel edge phase
-// (read-only, concurrency-safe), store from the serial fold loop with
-// the final cell value of every admissible round-0 pair. A hook whose
-// lookups return values bit-identical to pairwise_efficiency — the
+// (matching/incremental): lookup before pricing each pair, then store
+// with the final cell value of every admissible round-0 pair. A hook
+// whose lookups return values bit-identical to pairwise_efficiency — the
 // PairGammaCache contract — leaves the grouping bit-identical.
 std::vector<std::vector<int>> multi_round_grouping(
     const std::vector<ResourceVector>& profiles, int max_group_size,
-    ThreadPool* pool, GroupingStats* stats,
-    GroupingCapture* capture = nullptr,
+    GroupingStats* stats = nullptr, GroupingCapture* capture = nullptr,
     PairGammaHook* pair_hook = nullptr);
 
 }  // namespace muri

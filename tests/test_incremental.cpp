@@ -332,6 +332,53 @@ TEST(IncrementalScheduler, DecisionLogBytesEqualRebuild) {
   }
 }
 
+// The flattened (bucket, component) fan-out: a threaded incremental
+// scheduler with many components in several buckets must match the serial
+// one round for round — in its plans and in every work counter, since
+// caches and counters are folded serially in (bucket, component) order.
+TEST(IncrementalScheduler, FlattenedFanOutMatchesSerialWorkUnderChurn) {
+  MuriOptions serial_opt;
+  serial_opt.top_k = 8;
+  serial_opt.component_cap = 8;
+  serial_opt.candidate_cap = 256;
+  serial_opt.incremental = true;
+  serial_opt.num_threads = 1;
+  MuriOptions threaded_opt = serial_opt;
+  threaded_opt.num_threads = 4;
+  MuriScheduler serial(serial_opt);
+  MuriScheduler threaded(threaded_opt);
+
+  Rng rng(57);
+  JobId next_id = 0;
+  auto queue = make_queue(rng, next_id, 160);
+  SchedulerContext ctx;
+  ctx.total_gpus = 128;
+  ctx.gpus_per_machine = 8;
+  std::int64_t reused_components = 0;
+  for (int round = 0; round < 12; ++round) {
+    const auto want = serial.schedule(queue, ctx);
+    const auto got = threaded.schedule(queue, ctx);
+    ASSERT_TRUE(same_plan(want, got)) << "round=" << round;
+    const GroupingStats& a = serial.last_round_stats();
+    const GroupingStats& b = threaded.last_round_stats();
+    EXPECT_EQ(a.matchings_run, b.matchings_run) << "round=" << round;
+    EXPECT_EQ(a.cache_misses, b.cache_misses) << "round=" << round;
+    EXPECT_EQ(a.edges_reused, b.edges_reused) << "round=" << round;
+    EXPECT_EQ(a.edges_patched, b.edges_patched) << "round=" << round;
+    EXPECT_EQ(a.components_total, b.components_total) << "round=" << round;
+    EXPECT_EQ(a.components_reused, b.components_reused) << "round=" << round;
+    EXPECT_EQ(a.components_trivial, b.components_trivial)
+        << "round=" << round;
+    // The workload really spreads: several non-trivial components, and
+    // the warm rounds fold some of them forward.
+    EXPECT_GT(a.components_total - a.components_trivial, 4)
+        << "round=" << round;
+    reused_components += a.components_reused;
+    churn_queue(rng, next_id, queue);
+  }
+  EXPECT_GT(reused_components, 0);
+}
+
 // The whole point: a warm incremental scheduler on an unchanged queue
 // folds everything forward — components reused, no γ recomputed — and
 // under churn the patched-edge count stays near the churned jobs, not

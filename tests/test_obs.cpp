@@ -493,12 +493,8 @@ TEST(MuriMetrics, RegistryReproducesGroupingStatsExactly) {
   EXPECT_DOUBLE_EQ(
       reg.counter("muri_sched_matching_seconds_total", "").value(),
       cum.matching_seconds);
-  EXPECT_DOUBLE_EQ(
-      reg.counter("muri_sched_gamma_cache_hits_total", "").value(),
-      static_cast<double>(cum.cache_hits));
-  EXPECT_DOUBLE_EQ(
-      reg.counter("muri_sched_gamma_cache_misses_total", "").value(),
-      static_cast<double>(cum.cache_misses));
+  EXPECT_DOUBLE_EQ(reg.counter("muri_sched_gamma_evals_total", "").value(),
+                   static_cast<double>(cum.cache_misses));
   EXPECT_DOUBLE_EQ(reg.counter("muri_sched_matchings_total", "").value(),
                    static_cast<double>(cum.matchings_run));
   EXPECT_GT(reg.counter("muri_sched_rounds_total", "").value(), 0.0);

