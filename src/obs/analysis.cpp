@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <tuple>
 
+#include "obs/provenance.h"
+
 namespace muri::obs {
 
 namespace {
@@ -26,16 +28,6 @@ struct GroupAgg {
   // Per-member restart-gate overhead; the group-level stall is the max
   // (members share one gate, so each member's sum re-measures it).
   std::map<int, double> member_overhead;
-};
-
-struct JobAgg {
-  bool has_submit = false;
-  bool has_finish = false;
-  double submit = 0;
-  double finish = 0;
-  double placed_seconds = 0;    // Σ span durations
-  double overhead_seconds = 0;  // Σ span restart-gate overheads
-  int preemptions = 0;
 };
 
 double arg_number(const JsonValue& args, const char* key, double fallback) {
@@ -71,33 +63,6 @@ void append_compact(std::string& out, double v) {
   out += buf;
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 bool analyze_trace(const JsonValue& root, UtilizationReport& out,
@@ -116,10 +81,9 @@ bool analyze_trace(const JsonValue& root, UtilizationReport& out,
   std::map<int, std::string> track_labels;
   // (run, track, resource) -> accumulated busy + raw intervals.
   std::map<std::tuple<int, int, int>, ResourceTimeline> timelines;
-  // (run, group id) and (run, job id): run epochs separate the reused ids
-  // of back-to-back runs sharing one tracer.
+  // (run, group id): run epochs separate the reused ids of back-to-back
+  // runs sharing one tracer.
   std::map<std::pair<int, std::int64_t>, GroupAgg> groups;
-  std::map<std::pair<int, int>, JobAgg> jobs;
   double window_start = 0, window_end = 0;
   bool any_event = false;
 
@@ -188,10 +152,6 @@ bool analyze_trace(const JsonValue& root, UtilizationReport& out,
         }
       }
 
-      JobAgg& job = jobs[{run, tid}];
-      job.placed_seconds += dur;
-      job.overhead_seconds += overhead;
-
       const double gid = arg_number(args, "group", -1.0);
       if (gid >= 0) {
         GroupAgg& g = groups[{run, static_cast<std::int64_t>(gid)}];
@@ -232,22 +192,6 @@ bool analyze_trace(const JsonValue& root, UtilizationReport& out,
       ResourceTimeline& tl = timeline_for(run, pid, static_cast<int>(r));
       tl.busy_seconds += dur;
       if (dur > 0) tl.intervals.push_back({ts, ts + dur});
-      continue;
-    }
-
-    if (ph == "i" && e.at("cat").string == "job") {
-      observe_window(ts, ts);
-      const int run = static_cast<int>(arg_number(args, "run", 0.0));
-      JobAgg& job = jobs[{run, tid}];
-      if (name == "submit") {
-        if (!job.has_submit || ts < job.submit) job.submit = ts;
-        job.has_submit = true;
-      } else if (name == "finish") {
-        job.finish = ts;
-        job.has_finish = true;
-      } else if (name == "preempt" || name == "evict") {
-        ++job.preemptions;
-      }
       continue;
     }
 
@@ -318,25 +262,6 @@ bool analyze_trace(const JsonValue& root, UtilizationReport& out,
     out.gamma_error_mean = error_sum / weight;
   }
 
-  for (const auto& [key, agg] : jobs) {
-    JobJctBreakdown b;
-    b.run = key.first;
-    b.job = key.second;
-    b.finished = agg.has_submit && agg.has_finish;
-    b.submit = agg.submit;
-    b.finish = agg.finish;
-    b.restart_overhead_seconds = agg.overhead_seconds;
-    b.running_seconds =
-        std::max(agg.placed_seconds - agg.overhead_seconds, 0.0);
-    b.preemptions = agg.preemptions;
-    if (b.finished) {
-      b.jct_seconds = agg.finish - agg.submit;
-      b.queueing_seconds =
-          std::max(b.jct_seconds - agg.placed_seconds, 0.0);
-    }
-    out.jobs.push_back(b);
-  }
-
   return true;
 }
 
@@ -384,20 +309,6 @@ std::string report_text(const UtilizationReport& report) {
                 report.gamma_realized_mean, report.gamma_error_mean,
                 report.gamma_error_max_abs);
   out += buf;
-
-  out += "\njobs (JCT breakdown)\n";
-  std::snprintf(buf, sizeof(buf), "  %4s %6s %12s %12s %12s %12s %9s %4s\n",
-                "run", "job", "jct_s", "queue_s", "run_s", "restart_s",
-                "preempts", "fin");
-  out += buf;
-  for (const JobJctBreakdown& j : report.jobs) {
-    std::snprintf(buf, sizeof(buf),
-                  "  %4d %6d %12.6f %12.6f %12.6f %12.6f %9d %4d\n", j.run,
-                  j.job, j.jct_seconds, j.queueing_seconds,
-                  j.running_seconds, j.restart_overhead_seconds,
-                  j.preemptions, j.finished ? 1 : 0);
-    out += buf;
-  }
   return out;
 }
 
@@ -450,28 +361,6 @@ std::string report_csv(const UtilizationReport& report) {
     append_fixed(out, g.error());
     out += '\n';
   }
-
-  out += "\ntable,run,job,jct_seconds,queueing_seconds,running_seconds,"
-         "restart_overhead_seconds,preemptions,finished\n";
-  for (const JobJctBreakdown& j : report.jobs) {
-    out += "job,";
-    out += std::to_string(j.run);
-    out += ',';
-    out += std::to_string(j.job);
-    out += ',';
-    append_fixed(out, j.jct_seconds);
-    out += ',';
-    append_fixed(out, j.queueing_seconds);
-    out += ',';
-    append_fixed(out, j.running_seconds);
-    out += ',';
-    append_fixed(out, j.restart_overhead_seconds);
-    out += ',';
-    out += std::to_string(j.preemptions);
-    out += ',';
-    out += j.finished ? '1' : '0';
-    out += '\n';
-  }
   return out;
 }
 
@@ -493,7 +382,7 @@ std::string report_json(const UtilizationReport& report) {
     out += ",\"track\":";
     out += std::to_string(tl.track);
     out += ",\"label\":\"";
-    append_escaped(out, tl.label);
+    append_json_escaped(out, tl.label);
     out += "\",\"resource\":\"";
     out += to_string(tl.resource);
     out += "\",\"busy_seconds\":";
@@ -547,29 +436,6 @@ std::string report_json(const UtilizationReport& report) {
       append_compact(out, g.busy_seconds[static_cast<size_t>(r)]);
     }
     out += "}}";
-  }
-  out += "],\"jobs\":[";
-  first = true;
-  for (const JobJctBreakdown& j : report.jobs) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"run\":";
-    out += std::to_string(j.run);
-    out += ",\"job\":";
-    out += std::to_string(j.job);
-    out += ",\"finished\":";
-    out += j.finished ? "true" : "false";
-    out += ",\"jct_seconds\":";
-    append_compact(out, j.jct_seconds);
-    out += ",\"queueing_seconds\":";
-    append_compact(out, j.queueing_seconds);
-    out += ",\"running_seconds\":";
-    append_compact(out, j.running_seconds);
-    out += ",\"restart_overhead_seconds\":";
-    append_compact(out, j.restart_overhead_seconds);
-    out += ",\"preemptions\":";
-    out += std::to_string(j.preemptions);
-    out += '}';
   }
   out += "],\"summary\":{\"busy_seconds\":{";
   for (int r = 0; r < kNumResources; ++r) {

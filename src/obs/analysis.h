@@ -14,9 +14,14 @@
 //    the group uses — the same averaging as interleave/group_efficiency,
 //    so it is directly comparable to the schedule-time prediction stamped
 //    on the spans (`gamma_pred`), and the per-group error realized −
-//    predicted;
-//  - per job, the JCT breakdown (queueing / running / restart-overhead
-//    wall seconds and preemption count) from the lifecycle instants.
+//    predicted.
+//
+// Only what the trace alone carries is computed here. The per-job JCT
+// breakdown is the engine's own (SimResult::jct_breakdown, written into
+// every `finish` decision record), and the per-job wait-bucket timeline
+// and service latencies are the jobtrace fold's (obs/jobtrace.h,
+// `muri-report timeline` / `muri-report jobs`). Job lifecycle instants
+// in the trace only widen the report window.
 //
 // The fluid execution model is work-conserving while the rotation schedule
 // of Eq. 4 quantizes to stage boundaries, so on noise-free stage timings
@@ -81,21 +86,6 @@ struct GroupGammaStat {
   double error() const { return gamma_realized - gamma_predicted; }
 };
 
-// Offline JCT decomposition for one job (from submit/finish instants and
-// run-stage spans): jct = queueing + running + restart overhead.
-struct JobJctBreakdown {
-  int run = 0;
-  int job = 0;
-  bool finished = false;
-  double submit = 0;
-  double finish = 0;  // meaningful only when finished
-  double jct_seconds = 0;
-  double queueing_seconds = 0;
-  double running_seconds = 0;
-  double restart_overhead_seconds = 0;
-  int preemptions = 0;
-};
-
 struct UtilizationReport {
   // Wall window covered by the trace (earliest to latest event).
   double window_start = 0;
@@ -106,8 +96,6 @@ struct UtilizationReport {
   std::vector<ResourceTimeline> timelines;
   // Sorted by (run, group id).
   std::vector<GroupGammaStat> groups;
-  // Sorted by (run, job id).
-  std::vector<JobJctBreakdown> jobs;
 
   // Aggregates. Busy seconds summed over tracks; γ means are weighted by
   // each group's active window, matching SimResult's averaging.
@@ -116,9 +104,7 @@ struct UtilizationReport {
   double gamma_error_mean = 0;
   double gamma_error_max_abs = 0;
 
-  bool empty() const {
-    return timelines.empty() && groups.empty() && jobs.empty();
-  }
+  bool empty() const { return timelines.empty() && groups.empty(); }
 };
 
 // Computes the report from a parsed Chrome trace (the object that

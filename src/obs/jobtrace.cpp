@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/stats.h"
 #include "obs/metrics.h"
 
 namespace muri::obs {
@@ -113,6 +114,12 @@ JobTraceLog::State* JobTraceLog::live(std::int64_t job) {
   return &s;
 }
 
+bool JobTraceLog::traced(const State& s) {
+  // Submitted: a job ended at its submit instant has no spans left, but a
+  // job only accepted (never submitted) has none yet and is not traced.
+  return !s.spans.empty() || s.finished || s.cancelled;
+}
+
 void JobTraceLog::close_open(State& s, double t) {
   if (s.spans.empty() || !s.spans.back().open) return;
   RawSpan& b = s.spans.back();
@@ -143,13 +150,19 @@ void JobTraceLog::submitted(std::int64_t job, double t, bool restored) {
   State& s = it->second;
   if (!inserted && !s.spans.empty()) {
     // Re-submission of a live trace only happens on WAL restore; the
-    // pre-crash spans are unattributable, so the trace starts over.
-    const double accept = s.accept;
-    s = State{};
-    s.accept = accept;
+    // pre-crash spans are unattributable, so the trace starts over and
+    // only the whole-life facts carry across.
+    State fresh;
+    fresh.accept = s.accept;
+    fresh.first_submit = s.first_submit;
+    fresh.first_placed = s.first_placed;
+    fresh.preemptions = s.preemptions;
+    fresh.restarts = s.restarts;
+    s = std::move(fresh);
   }
   s.job = job;
   s.submit = t;
+  if (!restored && s.first_submit < 0) s.first_submit = t;
   s.restored = s.restored || restored;
   s.placed = false;
   s.cur_straggler = 1.0;
@@ -194,6 +207,7 @@ void JobTraceLog::placed(std::int64_t job, double t, std::int64_t round,
   std::lock_guard<std::mutex> lock(mu_);
   State* s = live(job);
   if (s == nullptr) return;
+  if (s->first_placed < 0) s->first_placed = t;
   std::vector<std::int64_t> sorted = group;
   std::sort(sorted.begin(), sorted.end());
   if (s->placed && s->spans.back().open) {
@@ -283,32 +297,38 @@ void JobTraceLog::straggler(std::int64_t job, double t, double factor) {
   open_span(*s, std::move(span));
 }
 
-void JobTraceLog::preempted(std::int64_t job, double t, std::int64_t round) {
+void JobTraceLog::restarted(std::int64_t job) {
+  std::lock_guard<std::mutex> lock(mu_);
+  State* s = live(job);
+  if (s != nullptr) ++s->restarts;
+}
+
+void JobTraceLog::displace(std::int64_t job, double t, std::int64_t round,
+                           SpanKind kind, bool preemption) {
   std::lock_guard<std::mutex> lock(mu_);
   State* s = live(job);
   if (s == nullptr || !s->placed) return;
+  if (preemption) ++s->preemptions;
   close_open(*s, t);
   s->placed = false;
   s->cur_straggler = 1.0;
   RawSpan span;
-  span.kind = SpanKind::kPreempted;
+  span.kind = kind;
   span.start = t;
   span.rounds = {round};
   open_span(*s, std::move(span));
 }
 
+void JobTraceLog::preempted(std::int64_t job, double t, std::int64_t round) {
+  displace(job, t, round, SpanKind::kPreempted, /*preemption=*/true);
+}
+
+void JobTraceLog::evicted(std::int64_t job, double t, std::int64_t round) {
+  displace(job, t, round, SpanKind::kFaulted, /*preemption=*/true);
+}
+
 void JobTraceLog::faulted(std::int64_t job, double t, std::int64_t round) {
-  std::lock_guard<std::mutex> lock(mu_);
-  State* s = live(job);
-  if (s == nullptr || !s->placed) return;
-  close_open(*s, t);
-  s->placed = false;
-  s->cur_straggler = 1.0;
-  RawSpan span;
-  span.kind = SpanKind::kFaulted;
-  span.start = t;
-  span.rounds = {round};
-  open_span(*s, std::move(span));
+  displace(job, t, round, SpanKind::kFaulted, /*preemption=*/false);
 }
 
 void JobTraceLog::finished(std::int64_t job, double t, double reported_jct) {
@@ -366,6 +386,10 @@ JobTimeline JobTraceLog::attribute(const State& s) {
   tl.cancelled = s.cancelled;
   tl.restored = s.restored;
   tl.reported_jct = s.reported_jct;
+  tl.first_submit = s.first_submit;
+  tl.first_placed = s.first_placed;
+  tl.preemptions = s.preemptions;
+  tl.restarts = s.restarts;
   for (const RawSpan& r : s.spans) {
     const double end = r.open ? r.start : r.end;
     const auto push = [&](SpanKind kind, double a, double b) {
@@ -403,7 +427,7 @@ std::vector<JobTimeline> JobTraceLog::timelines() const {
   std::vector<JobTimeline> out;
   out.reserve(jobs_.size());
   for (const auto& [id, s] : jobs_) {
-    if (s.spans.empty()) continue;
+    if (!traced(s)) continue;
     out.push_back(attribute(s));
   }
   return out;
@@ -412,7 +436,7 @@ std::vector<JobTimeline> JobTraceLog::timelines() const {
 bool JobTraceLog::timeline(std::int64_t job, JobTimeline& out) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(job);
-  if (it == jobs_.end() || it->second.spans.empty()) return false;
+  if (it == jobs_.end() || !traced(it->second)) return false;
   out = attribute(it->second);
   return true;
 }
@@ -537,9 +561,13 @@ void build_job_traces(const std::vector<DecisionRecord>& records,
       }
     } else if (type == "straggler") {
       out.straggler(int_field(v, "job", -1), t, num_field(v, "factor", 1.0));
+    } else if (type == "restart") {
+      out.restarted(int_field(v, "job", -1));
     } else if (type == "preempt") {
       out.preempted(int_field(v, "job", -1), t, round);
-    } else if (type == "evict" || type == "fault") {
+    } else if (type == "evict") {
+      out.evicted(int_field(v, "job", -1), t, round);
+    } else if (type == "fault") {
       out.faulted(int_field(v, "job", -1), t, round);
     } else if (type == "finish") {
       out.finished(int_field(v, "job", -1), t, num_field(v, "jct", -1));
@@ -776,6 +804,177 @@ std::string chrome_trace_json(const std::vector<JobTimeline>& ts) {
     }
   }
   out += "]}";
+  return out;
+}
+
+// -- Jobs report ------------------------------------------------------
+
+namespace {
+
+std::string g17(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string f3(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.3f", v);
+  return buf;
+}
+
+struct Percentiles {
+  double p50 = 0, p90 = 0, p99 = 0, mean = 0;
+  std::size_t n = 0;
+};
+
+Percentiles percentiles_of(const std::vector<double>& xs) {
+  Percentiles p;
+  p.n = xs.size();
+  if (xs.empty()) return p;
+  double sum = 0;
+  for (double x : xs) sum += x;
+  p.mean = sum / static_cast<double>(xs.size());
+  p.p50 = percentile(xs, 50);
+  p.p90 = percentile(xs, 90);
+  p.p99 = percentile(xs, 99);
+  return p;
+}
+
+struct JobsSummary {
+  std::int64_t finished = 0;
+  std::int64_t cancelled = 0;
+  std::int64_t in_flight = 0;
+  Percentiles wait;
+  Percentiles jct;
+};
+
+JobsSummary summarize(const std::vector<JobTimeline>& ts) {
+  JobsSummary out;
+  std::vector<double> waits;
+  std::vector<double> jcts;
+  for (const JobTimeline& t : ts) {
+    if (t.finished) {
+      ++out.finished;
+    } else if (t.cancelled) {
+      ++out.cancelled;
+    } else {
+      ++out.in_flight;
+    }
+    if (t.has_wait()) waits.push_back(t.wait());
+    if (t.has_service_jct()) jcts.push_back(t.service_jct());
+  }
+  out.wait = percentiles_of(waits);
+  out.jct = percentiles_of(jcts);
+  return out;
+}
+
+const char* state_of(const JobTimeline& t) {
+  if (t.finished) return "finished";
+  if (t.cancelled) return "cancelled";
+  if (t.first_placed >= 0) return "scheduled";
+  return "queued";
+}
+
+bool ended(const JobTimeline& t) { return t.finished || t.cancelled; }
+
+}  // namespace
+
+std::string jobs_report_text(const std::vector<JobTimeline>& ts) {
+  std::string out;
+  out += "job        state      submit_t   wait_s     jct_s      preempt  restart\n";
+  for (const JobTimeline& t : ts) {
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "%-10lld %-10s %-10s %-10s %-10s %-8lld %lld\n",
+                  static_cast<long long>(t.job), state_of(t),
+                  t.first_submit >= 0 ? f3(t.first_submit).c_str() : "-",
+                  t.has_wait() ? f3(t.wait()).c_str() : "-",
+                  t.has_service_jct() ? f3(t.service_jct()).c_str() : "-",
+                  static_cast<long long>(t.preemptions),
+                  static_cast<long long>(t.restarts));
+    out += line;
+  }
+  const JobsSummary sum = summarize(ts);
+  out += "\njobs: " + std::to_string(ts.size()) + " (finished " +
+         std::to_string(sum.finished) + ", cancelled " +
+         std::to_string(sum.cancelled) + ", in flight " +
+         std::to_string(sum.in_flight) + ")\n";
+  if (sum.wait.n > 0) {
+    out += "wait_s: mean " + f3(sum.wait.mean) + "  p50 " + f3(sum.wait.p50) +
+           "  p90 " + f3(sum.wait.p90) + "  p99 " + f3(sum.wait.p99) + "\n";
+  }
+  if (sum.jct.n > 0) {
+    out += "jct_s:  mean " + f3(sum.jct.mean) + "  p50 " + f3(sum.jct.p50) +
+           "  p90 " + f3(sum.jct.p90) + "  p99 " + f3(sum.jct.p99) + "\n";
+  }
+  return out;
+}
+
+std::string jobs_report_csv(const std::vector<JobTimeline>& ts) {
+  std::string out =
+      "job,state,submit_t,first_scheduled_t,end_t,wait_s,jct_s,preemptions,"
+      "restarts\n";
+  for (const JobTimeline& t : ts) {
+    append_int(out, t.job);
+    out += ',';
+    out += state_of(t);
+    out += ',';
+    if (t.first_submit >= 0) out += g17(t.first_submit);
+    out += ',';
+    if (t.first_placed >= 0) out += g17(t.first_placed);
+    out += ',';
+    if (ended(t)) out += g17(t.finish);
+    out += ',';
+    if (t.has_wait()) out += g17(t.wait());
+    out += ',';
+    if (t.has_service_jct()) out += g17(t.service_jct());
+    out += ',';
+    append_int(out, t.preemptions);
+    out += ',';
+    append_int(out, t.restarts);
+    out += '\n';
+  }
+  return out;
+}
+
+std::string jobs_report_json(const std::vector<JobTimeline>& ts) {
+  std::string out = "{\"jobs\":[";
+  for (size_t i = 0; i < ts.size(); ++i) {
+    const JobTimeline& t = ts[i];
+    if (i > 0) out += ',';
+    out += "{\"job\":";
+    append_int(out, t.job);
+    out += ",\"state\":\"";
+    out += state_of(t);
+    out += '"';
+    if (t.first_submit >= 0) out += ",\"submit_t\":" + g17(t.first_submit);
+    if (t.first_placed >= 0) {
+      out += ",\"first_scheduled_t\":" + g17(t.first_placed);
+    }
+    if (ended(t)) out += ",\"end_t\":" + g17(t.finish);
+    if (t.has_wait()) out += ",\"wait_s\":" + g17(t.wait());
+    if (t.has_service_jct()) out += ",\"jct_s\":" + g17(t.service_jct());
+    out += ",\"preemptions\":";
+    append_int(out, t.preemptions);
+    out += ",\"restarts\":";
+    append_int(out, t.restarts);
+    out += '}';
+  }
+  const JobsSummary sum = summarize(ts);
+  out += "],\"finished\":" + std::to_string(sum.finished);
+  out += ",\"cancelled\":" + std::to_string(sum.cancelled);
+  out += ",\"in_flight\":" + std::to_string(sum.in_flight);
+  const auto append_summary = [&out](const char* key, const Percentiles& p) {
+    if (p.n == 0) return;
+    out += ",\"";
+    out += key;
+    out += "\":{\"mean\":" + g17(p.mean) + ",\"p50\":" + g17(p.p50) +
+           ",\"p90\":" + g17(p.p90) + ",\"p99\":" + g17(p.p99) + "}";
+  };
+  append_summary("wait_s", sum.wait);
+  append_summary("jct_s", sum.jct);
+  out += "}\n";
   return out;
 }
 

@@ -30,6 +30,13 @@
 // spans, and the straggler inflation factor — the causal chain from
 // decision to realized time.
 //
+// The fold is the one offline per-job accounting of src/obs and tools:
+// besides the timeline renderers, the per-job service latency report
+// (`muri-report jobs` and the decision-stream `muri-report slo`) renders
+// its rows from the same timelines, using the whole-life facts a
+// timeline carries across a WAL restore (first submit and placement,
+// preemptions, restarts).
+//
 // Two drivers feed the same state machine:
 //
 //  - live: the simulator and the service engine/daemon call the typed
@@ -37,7 +44,9 @@
 //    attaching never perturbs results — the obs bit-identity contract).
 //  - fold: build_job_traces() replays a parsed decision log
 //    (simulator or daemon WAL) through the same methods, so
-//    `muri-report timeline` reconstructs the identical spans offline.
+//    `muri-report timeline` and `muri-report jobs` reconstruct the
+//    identical spans and counts offline. A sim_start record starts the
+//    fold over, so a log of several runs folds to its last run.
 //    Exact agreement leans on two record types the emitters write for
 //    this purpose: "wait" (per-round bucket verdicts for every waiting
 //    job) and "straggler" (per-job factor changes), plus the
@@ -126,10 +135,29 @@ struct JobTimeline {
   bool restored = false;
   // The finish record's jct (< 0 until finished).
   double reported_jct = -1;
+  // Whole-life facts that, like `accept`, survive a WAL restore: the
+  // first (non-restore) submit and first placement instants (< 0 when
+  // unknown), displacements from a held placement (preempt and machine
+  // evict; job faults excluded) and restarts of a running job in a new
+  // group. The jobs report renders these; the timeline renderers do not.
+  double first_submit = -1;
+  double first_placed = -1;
+  std::int64_t preemptions = 0;
+  std::int64_t restarts = 0;
   std::array<double, kNumSpanKinds> bucket_seconds{};
   std::vector<TimelineSpan> spans;
 
   double jct() const noexcept { return finish - submit; }
+  // Service latencies over the whole life: first submit → first placement
+  // and first submit → finish (a restored job keeps its pre-crash wait).
+  bool has_wait() const noexcept {
+    return first_submit >= 0 && first_placed >= 0;
+  }
+  double wait() const noexcept { return first_placed - first_submit; }
+  bool has_service_jct() const noexcept {
+    return finished && first_submit >= 0;
+  }
+  double service_jct() const noexcept { return finish - first_submit; }
   double total_seconds() const noexcept {
     double s = 0;
     for (const double b : bucket_seconds) s += b;
@@ -186,8 +214,13 @@ class JobTraceLog {
                          double gamma, std::string_view mode);
   // Straggler inflation factor changed while placed.
   void straggler(std::int64_t job, double t, double factor);
+  // A running job regrouped (the engine's "restart" record). Counted
+  // only: the placement in the new group opens the new span.
+  void restarted(std::int64_t job);
   void preempted(std::int64_t job, double t, std::int64_t round);
-  // Machine eviction or job fault: back to the queue under `faulted`.
+  // Machine eviction (a preemption) or job fault (not one): back to the
+  // queue under `faulted`.
+  void evicted(std::int64_t job, double t, std::int64_t round);
   void faulted(std::int64_t job, double t, std::int64_t round);
   void finished(std::int64_t job, double t, double reported_jct);
   void cancelled(std::int64_t job, double t);
@@ -198,9 +231,10 @@ class JobTraceLog {
 
   // -- Snapshots (attributed, restart-gate split applied) --
 
-  // All jobs, ascending by id. In-flight jobs carry their open span
-  // truncated at its start (zero length) — render `timelines()` of a
-  // finished run for the invariant-checked picture.
+  // All submitted jobs, ascending by id (a job that ended at its submit
+  // instant has no spans). In-flight jobs carry their open span truncated
+  // at its start (zero length) — render `timelines()` of a finished run
+  // for the invariant-checked picture.
   std::vector<JobTimeline> timelines() const;
   bool timeline(std::int64_t job, JobTimeline& out) const;
   // Aggregate bucket seconds over finished jobs (cancelled excluded).
@@ -223,6 +257,10 @@ class JobTraceLog {
   struct State {
     std::int64_t job = -1;
     double accept = -1;
+    double first_submit = -1;
+    double first_placed = -1;
+    std::int64_t preemptions = 0;
+    std::int64_t restarts = 0;
     double submit = 0;
     double finish = 0;
     bool placed = false;
@@ -235,6 +273,9 @@ class JobTraceLog {
   };
 
   State* live(std::int64_t job);
+  static bool traced(const State& s);
+  void displace(std::int64_t job, double t, std::int64_t round,
+                SpanKind kind, bool preemption);
   static void close_open(State& s, double t);
   static void open_span(State& s, RawSpan span);
   static JobTimeline attribute(const State& s);
@@ -269,5 +310,14 @@ std::string timelines_json(const std::vector<JobTimeline>& ts);
 // Chrome trace_event export: one pid (track) per job, complete events
 // named by bucket, cat "jobtrace". Passes validate_chrome_trace.
 std::string chrome_trace_json(const std::vector<JobTimeline>& ts);
+
+// The per-job service latency report (`muri-report jobs`): one row per
+// job with its state, first submit, wait (first submit → first placement),
+// JCT (first submit → finish), preemptions and restarts. Text is a table
+// plus wait/JCT percentiles, CSV one header plus a row per job, JSON the
+// rows plus the percentile summary.
+std::string jobs_report_text(const std::vector<JobTimeline>& ts);
+std::string jobs_report_csv(const std::vector<JobTimeline>& ts);
+std::string jobs_report_json(const std::vector<JobTimeline>& ts);
 
 }  // namespace muri::obs

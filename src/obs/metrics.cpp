@@ -6,6 +6,7 @@
 
 #include "common/build_info.h"
 #include "common/stats.h"
+#include "obs/provenance.h"
 
 namespace muri::obs {
 
@@ -300,15 +301,7 @@ std::string MetricsRegistry::json_snapshot() const {
     out += s->name;
     if (!s->labels.empty()) {
       out += '{';
-      for (char c : s->labels) {
-        if (c == '"') {
-          out += "\\\"";
-        } else if (c == '\\') {
-          out += "\\\\";
-        } else {
-          out += c;
-        }
-      }
+      append_json_escaped(out, s->labels);
       out += '}';
     }
     out += "\":";

@@ -7,9 +7,7 @@
 
 namespace muri::obs {
 
-namespace {
-
-void append_escaped(std::string& out, std::string_view s) {
+void append_json_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -35,8 +33,6 @@ void append_escaped(std::string& out, std::string_view s) {
     }
   }
 }
-
-}  // namespace
 
 void append_json_double(std::string& out, double v) {
   char buf[40];
@@ -87,7 +83,7 @@ DecisionLog::Entry& DecisionLog::Entry::str(const char* key,
   line_ += ",\"";
   line_ += key;
   line_ += "\":\"";
-  append_escaped(line_, v);
+  append_json_escaped(line_, v);
   line_ += '"';
   return *this;
 }
@@ -141,7 +137,7 @@ DecisionLog::Entry& DecisionLog::Entry::strs(
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i != 0) line_ += ',';
     line_ += '"';
-    append_escaped(line_, v[i]);
+    append_json_escaped(line_, v[i]);
     line_ += '"';
   }
   line_ += ']';
@@ -159,7 +155,7 @@ DecisionLog::Entry& DecisionLog::Entry::raw(const char* key,
 
 DecisionLog::Entry DecisionLog::entry(std::string_view type) {
   std::string line = "{\"type\":\"";
-  append_escaped(line, type);
+  append_json_escaped(line, type);
   line += "\",\"round\":";
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%lld",

@@ -87,6 +87,13 @@ namespace muri::obs {
 // round-trippable %.17g.
 void append_json_double(std::string& out, double v);
 
+// Appends `s` to `out` escaped for the inside of a JSON string literal
+// (no surrounding quotes): `"` and `\` backslashed, newline and tab as
+// \n and \t, every other control byte as \u00XX. The repo's one JSON
+// string escaper: the DecisionLog, trace, metrics, report and daemon
+// writers all use it.
+void append_json_escaped(std::string& out, std::string_view s);
+
 class DecisionLog {
  public:
   // One record under construction. Obtained from DecisionLog::entry();

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/stats.h"
+#include "obs/provenance.h"
 
 namespace muri::obs {
 
@@ -18,15 +19,6 @@ void append_number(std::string& out, double v) {
     std::snprintf(buf, sizeof(buf), "%.17g", v);
   }
   out += buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -181,8 +173,9 @@ std::string TimeSeriesStore::history_json(double now, double window_s,
   for (const auto& [name, entry] : series_) {
     if (!first) out += ',';
     first = false;
-    append_escaped(out, name);
-    out += ":{";
+    out += '"';
+    append_json_escaped(out, name);
+    out += "\":{";
     const WindowStats ws = entry.series.stats(now, window_s);
     out += "\"count\":";
     append_number(out, static_cast<double>(ws.count));

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "obs/provenance.h"
 
 namespace muri::obs {
 
@@ -24,34 +25,6 @@ struct LocalRingCache {
   void* ring = nullptr;
 };
 thread_local LocalRingCache t_ring_cache;
-
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void append_double(std::string& out, double v) {
   char buf[40];
@@ -73,14 +46,14 @@ void append_args(std::string& out, const TraceArgs& args,
   for (int i = 0; i < TraceArgs::kCapacity; ++i) {
     if (args.key[i] == nullptr) continue;
     out += any ? ",\"" : ",\"args\":{\"";
-    append_escaped(out, args.key[i]);
+    append_json_escaped(out, args.key[i]);
     out += "\":";
     append_double(out, args.value[i]);
     any = true;
   }
   if (!detail.empty()) {
     out += any ? ",\"message\":\"" : ",\"args\":{\"message\":\"";
-    append_escaped(out, detail.c_str());
+    append_json_escaped(out, detail);
     out += '"';
     any = true;
   }
@@ -268,7 +241,7 @@ std::string Tracer::chrome_trace_json() const {
                   "\"tid\":0,\"args\":{\"name\":\"",
                   pid);
     out += buf;
-    append_escaped(out, name.c_str());
+    append_json_escaped(out, name);
     out += "\"}}";
   }
   for (const auto& [key, name] : lanes) {
@@ -279,7 +252,7 @@ std::string Tracer::chrome_trace_json() const {
                   "\"tid\":%d,\"args\":{\"name\":\"",
                   key.first, key.second);
     out += buf;
-    append_escaped(out, name.c_str());
+    append_json_escaped(out, name);
     out += "\"}}";
   }
   for (const Keyed& k : all) {
@@ -287,9 +260,9 @@ std::string Tracer::chrome_trace_json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    append_escaped(out, e.name);
+    append_json_escaped(out, e.name);
     out += "\",\"cat\":\"";
-    append_escaped(out, e.cat);
+    append_json_escaped(out, e.cat);
     std::snprintf(buf, sizeof(buf),
                   "\",\"ph\":\"%c\",\"ts\":%lld,", e.phase,
                   static_cast<long long>(e.ts_us));

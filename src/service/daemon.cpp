@@ -11,6 +11,7 @@
 #include "job/model.h"
 #include "obs/jobtrace.h"
 #include "obs/json.h"
+#include "obs/provenance.h"
 #include "recovery/wal.h"
 #include "scheduler/baselines.h"
 #include "scheduler/muri.h"
@@ -27,47 +28,15 @@ std::string fmt_num(double v) {
   return buf;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // Uniform error body for every job-API failure path: {"error": ..,
 // "code": ..} with the HTTP status mirrored into "code" so clients that
 // only see the body (or log it) keep the status.
 void json_error(obs::HttpResponse& resp, int status, const std::string& what) {
   resp.status = status;
   resp.content_type = "application/json";
-  resp.body = "{\"error\":\"" + json_escape(what) +
-              "\",\"code\":" + std::to_string(status) + "}\n";
+  resp.body = "{\"error\":\"";
+  obs::append_json_escaped(resp.body, what);
+  resp.body += "\",\"code\":" + std::to_string(status) + "}\n";
 }
 
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name) {
@@ -92,7 +61,11 @@ std::string job_status_json(const JobStatus& st) {
   out += "\",\"model\":\"";
   out += muri::to_string(st.model);
   out += "\"";
-  if (!st.name.empty()) out += ",\"name\":\"" + json_escape(st.name) + "\"";
+  if (!st.name.empty()) {
+    out += ",\"name\":\"";
+    obs::append_json_escaped(out, st.name);
+    out += '"';
+  }
   out += ",\"gpus\":" + std::to_string(st.num_gpus);
   out += ",\"iterations\":" + std::to_string(st.iterations);
   out += ",\"done\":" + fmt_num(st.done_iterations);
@@ -112,7 +85,9 @@ std::string admitted_json(const QueuedSubmission& s) {
   out += muri::to_string(s.spec.model);
   out += "\"";
   if (!s.spec.name.empty()) {
-    out += ",\"name\":\"" + json_escape(s.spec.name) + "\"";
+    out += ",\"name\":\"";
+    obs::append_json_escaped(out, s.spec.name);
+    out += '"';
   }
   out += ",\"gpus\":" + std::to_string(s.spec.num_gpus);
   out += ",\"iterations\":" + std::to_string(s.spec.iterations);
@@ -742,7 +717,11 @@ void MuriDaemon::handle_healthz(bool plain, obs::HttpResponse& resp) {
   std::string out = "{\"status\":\"";
   out += h.ok ? "ok" : "degraded";
   out += "\"";
-  if (!h.ok) out += ",\"reason\":\"" + json_escape(h.reason) + "\"";
+  if (!h.ok) {
+    out += ",\"reason\":\"";
+    obs::append_json_escaped(out, h.reason);
+    out += '"';
+  }
   out += ",\"uptime_s\":" + fmt_num(wall_now());
   out += ",\"sim_t\":" + fmt_num(sim_now());
   out += ",\"loop_stall_s\":" + fmt_num(h.stall_s);
@@ -776,13 +755,19 @@ void MuriDaemon::handle_stats(obs::HttpResponse& resp) {
   out += ",\"sim_t\":" + fmt_num(sim_now());
   out += ",\"version\":\"" + std::string(build_version()) + "\"";
   out += ",\"git_sha\":\"" + std::string(build_git_sha()) + "\"";
-  out += ",\"scheduler\":\"" + json_escape(scheduler_->name()) + "\"";
+  out += ",\"scheduler\":\"";
+  obs::append_json_escaped(out, scheduler_->name());
+  out += '"';
   out += ",\"health\":{\"status\":\"";
   out += h.ok ? "ok" : "degraded";
   out += "\",\"loop_stall_s\":" + fmt_num(h.stall_s);
   out += ",\"round_overdue\":";
   out += h.round_overdue ? "true" : "false";
-  if (!h.ok) out += ",\"reason\":\"" + json_escape(h.reason) + "\"";
+  if (!h.ok) {
+    out += ",\"reason\":\"";
+    obs::append_json_escaped(out, h.reason);
+    out += '"';
+  }
   out += "}";
   out += ",\"queue\":{\"depth\":" + std::to_string(queue_->depth());
   out += ",\"capacity\":" + std::to_string(queue_->capacity());

@@ -506,7 +506,7 @@ void ExecutionEngine::handle_machine_event(const FaultEvent& e) {
                 .str("reason", "machine_down");
           }
           if (options_.jobtrace != nullptr) {
-            options_.jobtrace->faulted(id, now_, cur_round_id_);
+            options_.jobtrace->evicted(id, now_, cur_round_id_);
           }
           leave_running(s, JobPhase::kQueued);
           ++s.preemptions;
@@ -948,6 +948,7 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
                 .integer("job", id)
                 .str("reason", "regrouped");
           }
+          if (jobtrace != nullptr) jobtrace->restarted(id);
           end_run_span(s);
         } else {
           ++running_;

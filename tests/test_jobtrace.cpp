@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -282,6 +283,19 @@ SimOptions tiny_cluster() {
   return opt;
 }
 
+// Job faults, machine crashes and stragglers on two machines.
+SimOptions faulty_cluster() {
+  SimOptions opt = tiny_cluster();
+  opt.cluster.num_machines = 2;
+  opt.mtbf_hours = 0.1;
+  opt.machine_faults.machine_mtbf_hours = 0.2;
+  opt.machine_faults.machine_mttr_hours = 0.05;
+  opt.machine_faults.straggler_rate_per_hour = 4;
+  opt.machine_faults.straggler_duration_s = 300;
+  opt.max_time = 12 * 3600;
+  return opt;
+}
+
 TEST(JobTrace, EveryFinishedSimJobSatisfiesTheAttributionInvariant) {
   const Trace t = contended_trace();
   JobTraceLog live;
@@ -307,14 +321,7 @@ TEST(JobTrace, EveryFinishedSimJobSatisfiesTheAttributionInvariant) {
 
 TEST(JobTrace, InvariantHoldsUnderFaultsAndStragglers) {
   Trace t = contended_trace();
-  SimOptions opt = tiny_cluster();
-  opt.cluster.num_machines = 2;
-  opt.mtbf_hours = 0.1;  // job faults
-  opt.machine_faults.machine_mtbf_hours = 0.2;
-  opt.machine_faults.machine_mttr_hours = 0.05;
-  opt.machine_faults.straggler_rate_per_hour = 4;
-  opt.machine_faults.straggler_duration_s = 300;
-  opt.max_time = 12 * 3600;
+  SimOptions opt = faulty_cluster();
   JobTraceLog live;
   opt.jobtrace = &live;
   MuriScheduler s{MuriOptions{}};
@@ -347,18 +354,22 @@ TEST(JobTrace, FoldOverDecisionLogMatchesTheLiveRecorder) {
             obs::timelines_json(fold.timelines()));
   EXPECT_EQ(obs::timeline_csv(live.timelines()),
             obs::timeline_csv(fold.timelines()));
+  EXPECT_EQ(obs::jobs_report_csv(live.timelines()),
+            obs::jobs_report_csv(fold.timelines()));
+}
+
+std::vector<JobTimeline> fold_of(const DecisionLog& log) {
+  std::vector<DecisionRecord> records;
+  std::string error;
+  EXPECT_TRUE(obs::parse_decision_log(log.jsonl(), records, &error)) << error;
+  JobTraceLog fold;
+  obs::build_job_traces(records, fold);
+  return fold.timelines();
 }
 
 TEST(JobTrace, FoldMatchesLiveUnderFaults) {
   Trace t = contended_trace();
-  SimOptions opt = tiny_cluster();
-  opt.cluster.num_machines = 2;
-  opt.mtbf_hours = 0.1;
-  opt.machine_faults.machine_mtbf_hours = 0.2;
-  opt.machine_faults.machine_mttr_hours = 0.05;
-  opt.machine_faults.straggler_rate_per_hour = 4;
-  opt.machine_faults.straggler_duration_s = 300;
-  opt.max_time = 12 * 3600;
+  SimOptions opt = faulty_cluster();
   DecisionLog log;
   JobTraceLog live;
   opt.decisions = &log;
@@ -366,12 +377,51 @@ TEST(JobTrace, FoldMatchesLiveUnderFaults) {
   MuriScheduler s{MuriOptions{}};
   run_simulation(t, s, opt);
 
-  std::vector<DecisionRecord> records;
-  ASSERT_TRUE(obs::parse_decision_log(log.jsonl(), records));
-  JobTraceLog fold;
-  obs::build_job_traces(records, fold);
-  EXPECT_EQ(obs::timelines_json(live.timelines()),
-            obs::timelines_json(fold.timelines()));
+  const std::vector<JobTimeline> fold = fold_of(log);
+  EXPECT_EQ(obs::timelines_json(live.timelines()), obs::timelines_json(fold));
+  // The whole-life facts (first submit/placement, preemptions, restarts)
+  // agree too; the jobs report renders every one of them.
+  EXPECT_EQ(obs::jobs_report_csv(live.timelines()),
+            obs::jobs_report_csv(fold));
+}
+
+TEST(JobTrace, FoldReproducesTheEngineJctBreakdownUnderFaults) {
+  Trace t = contended_trace();
+  SimOptions opt = faulty_cluster();
+  DecisionLog log;
+  opt.decisions = &log;
+  MuriScheduler s{MuriOptions{}};
+  const SimResult result = run_simulation(t, s, opt);
+
+  std::map<std::int64_t, JobTimeline> fold;
+  for (JobTimeline& tl : fold_of(log)) fold[tl.job] = std::move(tl);
+  ASSERT_FALSE(result.jct_breakdown.empty());
+  int preempted = 0;
+  for (const JctBreakdown& b : result.jct_breakdown) {
+    const auto it = fold.find(b.job);
+    ASSERT_NE(it, fold.end()) << "job " << b.job << " missing from the fold";
+    const JobTimeline& tl = it->second;
+    ASSERT_TRUE(tl.finished) << "job " << b.job;
+    const auto seconds = [&tl](SpanKind kind) {
+      return tl.bucket_seconds[static_cast<size_t>(kind)];
+    };
+    double waited = 0;
+    for (int k = 0; k < obs::kNumSpanKinds; ++k) {
+      if (obs::span_kind_is_wait(static_cast<SpanKind>(k))) {
+        waited += seconds(static_cast<SpanKind>(k));
+      }
+    }
+    const double tol = 1e-9 * std::max(1.0, b.jct_seconds);
+    EXPECT_NEAR(b.queueing_seconds, waited, tol) << "job " << b.job;
+    EXPECT_NEAR(b.running_seconds,
+                seconds(SpanKind::kRun) + seconds(SpanKind::kDegraded), tol)
+        << "job " << b.job;
+    EXPECT_NEAR(b.restart_overhead_seconds, seconds(SpanKind::kRestart), tol)
+        << "job " << b.job;
+    EXPECT_EQ(b.preemptions, tl.preemptions) << "job " << b.job;
+    if (b.preemptions > 0) ++preempted;
+  }
+  EXPECT_GT(preempted, 0) << "no job was preempted or evicted";
 }
 
 TEST(JobTrace, TimelineRoundIdsAgreeWithTheDecisionLog) {

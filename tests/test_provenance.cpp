@@ -81,6 +81,21 @@ TEST(DecisionLog, EscapesStrings) {
   EXPECT_TRUE(obs::validate_decision_log(log.jsonl()));
 }
 
+TEST(DecisionLog, SharedEscaperRoundTripsThroughTheParser) {
+  // Quote, backslash, \n, \r, \t and two other control bytes (split
+  // literals keep "\x01" from swallowing the next hex digit).
+  const std::string raw = std::string("q\"b\\s\nr\rt\tc\x01") + "e\x1f" + "z";
+  std::string escaped;
+  obs::append_json_escaped(escaped, raw);
+  EXPECT_EQ(escaped, "q\\\"b\\\\s\\nr\\u000dt\\tc\\u0001e\\u001fz");
+  obs::JsonValue parsed;
+  std::string error;
+  ASSERT_TRUE(obs::parse_json("\"" + escaped + "\"", parsed, &error))
+      << error;
+  ASSERT_TRUE(parsed.is_string());
+  EXPECT_EQ(parsed.string, raw);
+}
+
 // ---------------------------------------------------------------------------
 // Parse + validate.
 

@@ -3,8 +3,9 @@
 //
 // Ingests one or more --trace-out files (from the simulator benches, the
 // live executor, or examples/live_interleave) and prints per-resource
-// busy/idle utilization tables, realized-vs-predicted γ per group, and
-// per-job JCT breakdowns. See src/obs/analysis.h for the semantics.
+// busy/idle utilization tables and realized-vs-predicted γ per group.
+// See src/obs/analysis.h for the semantics; per-job accounting comes from
+// a decision stream (the jobs and timeline subcommands below).
 //
 //   muri-report trace.json                        # text tables
 //   muri-report --format=csv a.json b.json        # one section per table
@@ -23,9 +24,11 @@
 //   muri-report replay decisions.wal              # human summary
 //   muri-report replay --format=json crash.jsonl  # ReplayState JSON
 //
-// The jobs subcommand renders per-job service latencies
-// (submit → first scheduled → finished, src/obs/jobs_report.h) from the
-// same inputs — typically a daemon WAL:
+// The jobs subcommand renders per-job service latencies (submit → first
+// scheduled → finished, plus preemption and restart counts) from the same
+// inputs — typically a daemon WAL. Its rows are the jobtrace fold's
+// timelines (src/obs/jobtrace.h), the same fold the timeline subcommand
+// renders:
 //
 //   muri-report jobs daemon.wal                   # table + percentiles
 //   muri-report jobs --format=csv decisions.jsonl
@@ -42,10 +45,10 @@
 //
 // The slo subcommand renders an offline SLO violation summary — the
 // batch twin of the daemon's live GET /stats gate. Input is either a
-// decision stream (WAL or JSONL: wait/JCT percentiles from the job
-// records) or a GET /metrics/history dump (per-series stats straight
-// from the daemon's time-series store). Threshold flags turn the render
-// into a verdict:
+// decision stream (WAL or JSONL: wait/JCT percentiles over the jobs
+// subcommand's rows) or a GET /metrics/history dump (per-series stats
+// straight from the daemon's time-series store). Threshold flags turn the
+// render into a verdict:
 //
 //   muri-report slo daemon.wal --wait-p99=60 --jct-p99=900
 //   muri-report slo history.json --stall-max=1 --round-p99=0.05
@@ -72,7 +75,6 @@
 #include "common/stats.h"
 #include "obs/analysis.h"
 #include "obs/jobtrace.h"
-#include "obs/jobs_report.h"
 #include "obs/json.h"
 #include "obs/provenance.h"
 #include "recovery/durable.h"
@@ -282,21 +284,6 @@ bool parse_args(int argc, char** argv, Options& opts) {
   return true;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
 bool read_file(const std::string& path, std::string& out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
@@ -457,27 +444,40 @@ int read_decision_stream(const std::string& path,
   return 0;
 }
 
-int run_jobs(const Options& opts) {
-  const std::string& path = opts.traces.front();
+// The jobs report's rows: the jobtrace fold of a decision stream, one
+// timeline per job ascending by id. Returns 0, 1 after an IO/parse error,
+// or 2 when the stream holds no job.
+int read_job_rows(const std::string& path,
+                  std::vector<muri::obs::JobTimeline>& rows) {
   std::vector<muri::obs::DecisionRecord> records;
   if (const int rc = read_decision_stream(path, records); rc != 0) {
     return rc;
   }
-  const muri::obs::JobsReport report = muri::obs::build_jobs_report(records);
-  if (report.empty()) {
+  muri::obs::JobTraceLog log;
+  muri::obs::build_job_traces(records, log);
+  rows = log.timelines();
+  if (rows.empty()) {
     std::cerr << "muri-report: no job records in " << path << '\n';
     return 2;
+  }
+  return 0;
+}
+
+int run_jobs(const Options& opts) {
+  std::vector<muri::obs::JobTimeline> rows;
+  if (const int rc = read_job_rows(opts.traces.front(), rows); rc != 0) {
+    return rc;
   }
   std::string output;
   switch (opts.format) {
     case Format::kText:
-      output = muri::obs::jobs_report_text(report);
+      output = muri::obs::jobs_report_text(rows);
       break;
     case Format::kCsv:
-      output = muri::obs::jobs_report_csv(report);
+      output = muri::obs::jobs_report_csv(rows);
       break;
     case Format::kJson:
-      output = muri::obs::jobs_report_json(report);
+      output = muri::obs::jobs_report_json(rows);
       break;
     case Format::kChrome:
       break;  // rejected in parse_args
@@ -568,7 +568,9 @@ std::string slo_render(const std::string& source, const Options& opts,
   for (const SloLine& l : lines) violated += l.violated ? 1 : 0;
   std::string out;
   if (opts.format == Format::kJson) {
-    out += "{\"source\":\"" + json_escape(source) + "\",\"targets\":[";
+    out += "{\"source\":\"";
+    muri::obs::append_json_escaped(out, source);
+    out += "\",\"targets\":[";
     bool first = true;
     for (const SloLine& l : lines) {
       if (!first) out += ',';
@@ -643,63 +645,30 @@ int run_slo_history(const Options& opts, const muri::obs::JsonValue& root) {
   return 0;
 }
 
-// slo over a decision stream: wait/JCT percentiles from the job records
-// (round latency / fsync / stall are live-plane quantities — a WAL does
-// not carry them; use a history dump for those).
+// slo over a decision stream: wait/JCT percentiles over the jobs report's
+// rows (round latency / fsync / stall are live-plane quantities — a WAL
+// does not carry them; use a history dump for those).
 int run_slo(const Options& opts) {
   const std::string& path = opts.traces.front();
-  std::string text;
-  if (!read_file(path, text)) {
-    std::cerr << "muri-report: cannot read " << path << '\n';
-    return 1;
-  }
   // A /metrics/history dump is one JSON object with a "series" map.
   {
+    std::string text;
+    if (!read_file(path, text)) {
+      std::cerr << "muri-report: cannot read " << path << '\n';
+      return 1;
+    }
     muri::obs::JsonValue root;
     if (muri::obs::parse_json(text, root) && root.at("series").is_object()) {
       return run_slo_history(opts, root);
     }
   }
-  if (muri::recovery::looks_like_wal(text)) {
-    muri::recovery::WalReadResult decoded;
-    std::string error;
-    if (!muri::recovery::read_wal_file(path, decoded, &error)) {
-      std::cerr << "muri-report: " << path << ": " << error << '\n';
-      return 1;
-    }
-    if (decoded.torn) {
-      std::cerr << "muri-report: " << path
-                << ": warning: torn tail ignored (" << decoded.torn_reason
-                << ")\n";
-    }
-    text.clear();
-    for (const muri::recovery::WalFrame& frame : decoded.frames) {
-      if (frame.kind != muri::recovery::FrameKind::kRecord) continue;
-      text += frame.payload;
-      text += '\n';
-    }
-  }
-  std::string error;
-  std::string tail_warning;
-  std::vector<muri::obs::DecisionRecord> records;
-  if (!muri::obs::parse_decision_log(text, records, &error, &tail_warning)) {
-    std::cerr << "muri-report: " << path << ": " << error << '\n';
-    return 1;
-  }
-  if (!tail_warning.empty()) {
-    std::cerr << "muri-report: " << path << ": warning: " << tail_warning
-              << '\n';
-  }
-  const muri::obs::JobsReport report = muri::obs::build_jobs_report(records);
-  if (report.empty()) {
-    std::cerr << "muri-report: no job records in " << path << '\n';
-    return 2;
-  }
+  std::vector<muri::obs::JobTimeline> rows;
+  if (const int rc = read_job_rows(path, rows); rc != 0) return rc;
   std::vector<double> waits;
   std::vector<double> jcts;
-  for (const muri::obs::JobLatencyRow& row : report.rows) {
+  for (const muri::obs::JobTimeline& row : rows) {
     if (row.has_wait()) waits.push_back(row.wait());
-    if (row.has_jct()) jcts.push_back(row.jct());
+    if (row.has_service_jct()) jcts.push_back(row.service_jct());
   }
   std::vector<SloLine> lines;
   {
@@ -780,7 +749,9 @@ int main(int argc, char** argv) {
         break;
       case Format::kJson:
         if (!first) output += ',';
-        output += "{\"file\":\"" + json_escape(path) + "\",\"report\":";
+        output += "{\"file\":\"";
+        muri::obs::append_json_escaped(output, path);
+        output += "\",\"report\":";
         output += muri::obs::report_json(report);
         output += '}';
         break;
@@ -795,7 +766,7 @@ int main(int argc, char** argv) {
   if (!emit_output(opts, output)) return 1;
 
   if (!any_content) {
-    std::cerr << "muri-report: no spans, groups, or jobs found in "
+    std::cerr << "muri-report: no spans or groups found in "
               << (opts.traces.size() == 1 ? "the trace" : "any trace")
               << " (empty report)\n";
     return 2;
