@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <tuple>
 
 #include "common/rng.h"
+#include "interleave/efficiency.h"
+#include "job/model.h"
 #include "matching/blossom.h"
 #include "matching/brute_force.h"
 #include "matching/graph.h"
@@ -229,6 +233,67 @@ TEST(Blossom, LargeCompleteGraphTerminatesAndIsValid) {
   EXPECT_TRUE(g.validate(m));
   // Complete graph with positive weights: perfect matching.
   EXPECT_EQ(m.pairs, n / 2);
+}
+
+// Pins Blossom's exact output, tie-breaking included, not only its optimal
+// weight. One thread matches a seeded corpus whose sizes go large → small
+// → large, so any state a matcher carries from one call to the next would
+// show. Class-structured graphs price every pair with the pairwise γ of
+// model-zoo profiles (8 models, so the many exact ties of a real round);
+// the others draw distinct random weights at several densities. The
+// digest folds every mate vector; a change to it is a behaviour change.
+TEST(Blossom, MateDigestIsPinnedAcrossSizesOnOneThread) {
+  const int sizes[] = {192, 150, 96, 41, 17, 6, 2, 3, 33, 64, 128, 160, 192};
+  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a 64
+  const auto fold = [&](std::int64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= static_cast<std::uint64_t>(x >> (8 * byte)) & 0xffu;
+      digest *= 1099511628211ull;
+    }
+  };
+  int graphs = 0;
+  for (int si = 0; si < static_cast<int>(std::size(sizes)); ++si) {
+    const int n = sizes[si];
+    for (int kind = 0; kind < 4; ++kind) {
+      Rng rng(static_cast<std::uint64_t>(si) * 1000 + kind);
+      DenseGraph g(n);
+      if (kind < 2) {
+        // Class-structured: kind 0 is a 1-GPU bucket, kind 1 a 4-GPU one.
+        std::vector<ResourceVector> profiles;
+        for (int i = 0; i < n; ++i) {
+          profiles.push_back(
+              model_profile(kAllModels[static_cast<size_t>(
+                                rng.uniform_int(0, kNumModels - 1))],
+                            kind == 0 ? 1 : 4)
+                  .stage_time);
+        }
+        for (int u = 0; u < n; ++u) {
+          for (int v = u + 1; v < n; ++v) {
+            g.set_weight(u, v,
+                         pairwise_efficiency(profiles[static_cast<size_t>(u)],
+                                             profiles[static_cast<size_t>(v)]));
+          }
+        }
+      } else {
+        // Distinct random weights: kind 2 complete, kind 3 at density 0.3.
+        const double density = kind == 2 ? 1.0 : 0.3;
+        for (int u = 0; u < n; ++u) {
+          for (int v = u + 1; v < n; ++v) {
+            if (rng.bernoulli(density)) {
+              g.set_weight(u, v, rng.uniform(0.01, 1.0));
+            }
+          }
+        }
+      }
+      const Matching m = max_weight_matching(g);
+      ASSERT_TRUE(g.validate(m)) << "n=" << n << " kind=" << kind;
+      fold(n);
+      for (int mate : m.mate) fold(mate);
+      ++graphs;
+    }
+  }
+  EXPECT_EQ(graphs, 52);
+  EXPECT_EQ(digest, 0x7e2037b2368cc875ull);
 }
 
 TEST(BruteForceGrouping, PartitionsIntoBestGroups) {
