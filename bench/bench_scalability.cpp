@@ -9,6 +9,9 @@
 //   bench_scalability --out=path.json   # override the output path
 //
 // Without --json/--small the binary is a plain google-benchmark suite.
+// The JSON also records `reference_seconds`: a fixed single-threaded
+// kernel timed before and after the sweep, so tools/diff_bench.py can
+// divide out the host's speed without assuming most points are unchanged.
 // The sweep also enforces the determinism gate: every multi-threaded plan
 // is compared against the single-threaded plan and a mismatch fails the
 // run (exit 1) — speed without bit-identical output is a bug here.
@@ -133,13 +136,15 @@ BENCHMARK(BM_GreedyMatching)->Arg(128)->Arg(256)
 // ---------------------------------------------------------------------------
 // Scheduling-round sweep (jobs × threads) → BENCH_sched_round.json.
 
-// Two queue shapes: "buckets4" cycles GPU demand 1/2/4/8 so the round
+// Three queue shapes: "buckets4" cycles GPU demand 1/2/4/8 so the round
 // groups four independent buckets concurrently (the common production
 // shape), "bucket1" puts every job in the single 1-GPU bucket — one
 // component, grouped on one thread whatever the thread count (the honest
-// worst case).
+// worst case). "distinct1" is bucket1 with every stage time jittered by
+// ±10%, so no two profiles are equal and the grouping's class table can
+// serve no stage-0 pair (as with measured, uncached profiles).
 std::vector<JobView> sweep_queue(int jobs, bool four_buckets,
-                                 std::uint64_t seed) {
+                                 std::uint64_t seed, bool jitter = false) {
   Rng rng(seed);
   std::vector<JobView> queue;
   queue.reserve(static_cast<size_t>(jobs));
@@ -153,9 +158,52 @@ std::vector<JobView> sweep_queue(int jobs, bool four_buckets,
     v.measured = model_profile(kAllModels[static_cast<size_t>(
                                    rng.uniform_int(0, kNumModels - 1))],
                                v.num_gpus);
+    if (jitter) {
+      for (Duration& t : v.measured.stage_time) t *= rng.uniform(0.9, 1.1);
+    }
     queue.push_back(v);
   }
   return queue;
+}
+
+// A fixed single-threaded computation independent of the scheduler: a
+// dependent walk around a 1 MiB random cycle and sorts of 64 Ki doubles.
+// Its wall time tracks the host's speed while the sweep runs. Returns the
+// fastest of three timings.
+double reference_kernel_seconds() {
+  constexpr std::size_t kRing = std::size_t{1} << 18;
+  constexpr std::size_t kKeys = std::size_t{1} << 16;
+  Rng rng(99);
+  std::vector<std::uint32_t> ring(kRing);
+  for (std::size_t i = 0; i < kRing; ++i) {
+    ring[i] = static_cast<std::uint32_t>(i);
+  }
+  // Sattolo's shuffle: one cycle through every slot.
+  for (std::size_t i = kRing - 1; i > 0; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(ring[i], ring[j]);
+  }
+  std::vector<double> keys(kKeys);
+  for (double& k : keys) k = rng.uniform();
+  std::vector<double> work(kKeys);
+  double best = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::uint32_t at = 0;
+    for (int i = 0; i < (1 << 21); ++i) at = ring[at];
+    double sink = at;
+    for (int pass = 0; pass < 4; ++pass) {
+      work = keys;
+      std::sort(work.begin(), work.end());
+      sink += work[kKeys / 2];
+    }
+    benchmark::DoNotOptimize(sink);
+    best = std::min(best, std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  return best;
 }
 
 bool same_plan(const std::vector<PlannedGroup>& a,
@@ -367,12 +415,14 @@ int run_sweep(bool small, const std::string& out_path) {
       small ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
   const int reps = small ? 3 : 5;
 
+  const double reference_before = reference_kernel_seconds();
   std::vector<SweepPoint> points;
   bool determinism_ok = true;
-  for (const bool four_buckets : {true, false}) {
-    const char* config = four_buckets ? "buckets4" : "bucket1";
+  for (const char* config : {"buckets4", "bucket1", "distinct1"}) {
+    const bool four_buckets = std::string(config) == "buckets4";
+    const bool distinct = std::string(config) == "distinct1";
     for (const int jobs : job_sizes) {
-      const auto queue = sweep_queue(jobs, four_buckets, 1234);
+      const auto queue = sweep_queue(jobs, four_buckets, 1234, distinct);
       SchedulerContext ctx;
       ctx.durations_known = true;
       ctx.total_gpus = four_buckets ? jobs : jobs / 2;
@@ -419,12 +469,14 @@ int run_sweep(bool small, const std::string& out_path) {
           }
         }
         std::printf(
-            "%-8s jobs=%-4d threads=%d  round=%8.3f ms  graph=%7.3f ms  "
-            "match=%7.3f ms  gamma_evals=%lld  speedup=%.2fx%s\n",
+            "%-9s jobs=%-4d threads=%d  round=%8.3f ms  graph=%7.3f ms  "
+            "match=%7.3f ms  gamma_evals=%lld  table_hits=%lld  "
+            "speedup=%.2fx%s\n",
             p.config.c_str(), jobs, threads, p.round_seconds * 1e3,
             p.stats.graph_build_seconds * 1e3, p.stats.matching_seconds * 1e3,
             static_cast<long long>(p.stats.cache_misses),
-            p.speedup_vs_serial, p.identical_to_serial ? "" : "  MISMATCH");
+            static_cast<long long>(p.stats.cache_hits), p.speedup_vs_serial,
+            p.identical_to_serial ? "" : "  MISMATCH");
         std::fflush(stdout);
         points.push_back(std::move(p));
       }
@@ -433,6 +485,9 @@ int run_sweep(bool small, const std::string& out_path) {
 
   const bool churn_ok = run_churn_sweep(small, points);
   determinism_ok = determinism_ok && churn_ok;
+  const double reference_after = reference_kernel_seconds();
+  std::printf("reference kernel: %.3f ms before, %.3f ms after the sweep\n",
+              reference_before * 1e3, reference_after * 1e3);
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -445,6 +500,12 @@ int run_sweep(bool small, const std::string& out_path) {
                std::thread::hardware_concurrency());
   std::fprintf(f, "  \"determinism_ok\": %s,\n",
                determinism_ok ? "true" : "false");
+  std::fprintf(f, "  \"reference_before_seconds\": %.9f,\n",
+               reference_before);
+  std::fprintf(f, "  \"reference_after_seconds\": %.9f,\n",
+               reference_after);
+  std::fprintf(f, "  \"reference_seconds\": %.9f,\n",
+               0.5 * (reference_before + reference_after));
   std::fprintf(f, "  \"sweep\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const SweepPoint& p = points[i];
@@ -453,6 +514,7 @@ int run_sweep(bool small, const std::string& out_path) {
         "    {\"config\": \"%s\", \"jobs\": %d, \"threads\": %d, "
         "\"round_seconds\": %.9f, \"graph_build_seconds\": %.9f, "
         "\"matching_seconds\": %.9f, \"gamma_evals\": %lld, "
+        "\"gamma_table_hits\": %lld, "
         "\"matchings_run\": %lld, \"groups\": %d, "
         "\"dirty_jobs\": %lld, \"edges_reused\": %lld, "
         "\"edges_patched\": %lld, \"components_total\": %lld, "
@@ -461,6 +523,7 @@ int run_sweep(bool small, const std::string& out_path) {
         p.config.c_str(), p.jobs, p.threads, p.round_seconds,
         p.stats.graph_build_seconds, p.stats.matching_seconds,
         static_cast<long long>(p.stats.cache_misses),
+        static_cast<long long>(p.stats.cache_hits),
         static_cast<long long>(p.stats.matchings_run), p.groups,
         static_cast<long long>(p.stats.dirty_jobs),
         static_cast<long long>(p.stats.edges_reused),

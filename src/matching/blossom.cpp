@@ -12,24 +12,34 @@ namespace {
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
 }  // namespace
 
-BlossomMatcher::BlossomMatcher(int n)
-    : n_(n),
-      n_x_(n),
-      stride_(2 * n + 1),
-      edges_(static_cast<size_t>(stride_) * stride_),
-      lab_(static_cast<size_t>(stride_), 0),
-      match_(static_cast<size_t>(stride_), 0),
-      slack_(static_cast<size_t>(stride_), 0),
-      st_(static_cast<size_t>(stride_), 0),
-      pa_(static_cast<size_t>(stride_), 0),
-      s_(static_cast<size_t>(stride_), -1),
-      vis_(static_cast<size_t>(stride_), 0),
-      flower_from_storage_(static_cast<size_t>(stride_) * (n + 1), 0),
-      flower_(static_cast<size_t>(stride_)) {
-  for (int u = 0; u < stride_; ++u) {
-    for (int v = 0; v < stride_; ++v) {
-      g_(u, v) = Edge{u, v, 0};
-    }
+void BlossomMatcher::reset(int n) {
+  n_ = n;
+  n_x_ = n;
+  stride_ = 2 * n + 1;
+  const auto stride = static_cast<size_t>(stride_);
+  if (edges_.size() < stride * stride) edges_.resize(stride * stride);
+  if (lab_.size() < stride) {
+    lab_.resize(stride);
+    match_.resize(stride);
+    slack_.resize(stride);
+    st_.resize(stride);
+    pa_.resize(stride);
+    s_.resize(stride);
+    vis_.resize(stride);
+    best_.resize(stride);
+    flower_.resize(stride);
+  }
+  if (flower_from_storage_.size() < stride * static_cast<size_t>(n + 1)) {
+    flower_from_storage_.resize(stride * static_cast<size_t>(n + 1));
+  }
+  // vis_ keeps stamps across calls; restart them long before overflow.
+  if (lca_stamp_ > (1 << 30)) {
+    std::fill(vis_.begin(), vis_.end(), 0);
+    lca_stamp_ = 0;
+  }
+  for (int u = 0; u <= n_; ++u) {
+    Edge* row = &g_(u, 0);
+    for (int v = 0; v <= n_; ++v) row[v] = Edge{u, v, 0};
   }
 }
 
@@ -150,18 +160,25 @@ void BlossomMatcher::add_blossom(int u, int lca, int v) {
     push_queue(y);
   }
   set_state(b, b);
+  // Row b takes, per x, the flower member's edge of least slack (the
+  // first on ties), scanning the members' rows in order; column b is
+  // then written once per x from the winner's mirror cell.
+  Edge* row_b = &g_(b, 0);
+  for (int x = 1; x <= n_x_; ++x) row_b[x].w = 0;
+  for (int xs : fl) {
+    const Edge* row = &g_(xs, 0);
+    for (int x = 1; x <= n_x_; ++x) {
+      if (row_b[x].w == 0 || edge_delta(row[x]) < edge_delta(row_b[x])) {
+        row_b[x] = row[x];
+        best_[static_cast<size_t>(x)] = xs;
+      }
+    }
+  }
   for (int x = 1; x <= n_x_; ++x) {
-    g_(b, x).w = 0;
-    g_(x, b).w = 0;
+    g_(x, b) = g_(x, best_[static_cast<size_t>(x)]);
   }
   for (int x = 1; x <= n_; ++x) flower_from_(b, x) = 0;
   for (int xs : fl) {
-    for (int x = 1; x <= n_x_; ++x) {
-      if (g_(b, x).w == 0 || edge_delta(g_(xs, x)) < edge_delta(g_(b, x))) {
-        g_(b, x) = g_(xs, x);
-        g_(x, b) = g_(x, xs);
-      }
-    }
     for (int x = 1; x <= n_; ++x) {
       if (flower_from_(xs, x) != 0) flower_from_(b, x) = xs;
     }
@@ -221,6 +238,7 @@ bool BlossomMatcher::matching_round() {
   std::fill(s_.begin() + 1, s_.begin() + 1 + n_x_, -1);
   std::fill(slack_.begin() + 1, slack_.begin() + 1 + n_x_, 0);
   queue_.clear();
+  queue_head_ = 0;
   for (int x = 1; x <= n_x_; ++x) {
     if (st_[static_cast<size_t>(x)] == x && match_[static_cast<size_t>(x)] == 0) {
       pa_[static_cast<size_t>(x)] = 0;
@@ -231,9 +249,8 @@ bool BlossomMatcher::matching_round() {
   if (queue_.empty()) return false;  // matching is perfect
 
   while (true) {
-    while (!queue_.empty()) {
-      const int u = queue_.front();
-      queue_.pop_front();
+    while (queue_head_ < queue_.size()) {
+      const int u = queue_[queue_head_++];
       if (s_[static_cast<size_t>(st_[static_cast<size_t>(u)])] == 1) continue;
       for (int v = 1; v <= n_; ++v) {
         if (g_(u, v).w > 0 &&
@@ -283,6 +300,7 @@ bool BlossomMatcher::matching_round() {
     }
 
     queue_.clear();
+    queue_head_ = 0;
     for (int x = 1; x <= n_x_; ++x) {
       if (st_[static_cast<size_t>(x)] == x && slack_[static_cast<size_t>(x)] != 0 &&
           st_[static_cast<size_t>(slack_[static_cast<size_t>(x)])] != x &&
@@ -338,7 +356,10 @@ Matching max_weight_matching(const DenseGraph& graph) {
   result.mate.assign(static_cast<size_t>(n), -1);
   if (n < 2) return result;
 
-  detail::BlossomMatcher matcher(n);
+  // One workspace per thread: reset() reuses its buffers, so repeated
+  // rounds neither allocate nor clear a fresh (2n+1)² edge matrix.
+  thread_local detail::BlossomMatcher matcher;
+  matcher.reset(n);
   for (int u = 0; u < n; ++u) {
     for (int v = u + 1; v < n; ++v) {
       const double w = graph.weight(u, v);

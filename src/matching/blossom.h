@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "matching/graph.h"
@@ -27,7 +26,9 @@ inline constexpr double kWeightScale = 1e8;
 
 // Computes a maximum weight matching of `graph`. Edges with weight <= 0 are
 // treated as absent. Runs in O(V^3). The result satisfies
-// graph.validate(result).
+// graph.validate(result). Each calling thread keeps one matcher workspace
+// (see BlossomMatcher::reset) sized for the largest graph it has matched,
+// so calls from different threads never share state.
 Matching max_weight_matching(const DenseGraph& graph);
 
 // Greedy baseline: repeatedly match the heaviest remaining edge. Used for
@@ -41,7 +42,12 @@ namespace detail {
 // contracted blossoms.
 class BlossomMatcher {
  public:
-  explicit BlossomMatcher(int n);
+  // Prepares the matcher for a graph of n nodes with no edges; call it
+  // before set_weight and solve. Buffers only grow, so a matcher reused
+  // across calls allocates nothing once it has seen its largest graph.
+  // Only the real-node block of the edge matrix is rewritten: add_blossom
+  // writes a blossom's row and column before the search reads them.
+  void reset(int n);
 
   // Sets the (symmetric) integer weight of edge (u, v); u, v 0-indexed.
   // Weights must be non-negative; 0 means no edge.
@@ -58,9 +64,11 @@ class BlossomMatcher {
     std::int64_t w = 0;
   };
 
+  // Slack of e. A blossom row holds copies of original edges, so e.w is
+  // the weight of the original edge (e.u, e.v).
   std::int64_t edge_delta(const Edge& e) const {
     return lab_[static_cast<size_t>(e.u)] + lab_[static_cast<size_t>(e.v)] -
-           g_(e.u, e.v).w * 2;
+           e.w * 2;
   }
 
   Edge& g_(int u, int v) { return edges_[static_cast<size_t>(u) * stride_ + v]; }
@@ -90,9 +98,12 @@ class BlossomMatcher {
   std::vector<Edge> edges_;
   std::vector<std::int64_t> lab_;  // dual variables
   std::vector<int> match_, slack_, st_, pa_, s_, vis_;
+  std::vector<int> best_;  // add_blossom: flower member chosen per column
   std::vector<int> flower_from_storage_;
   std::vector<std::vector<int>> flower_;
-  std::deque<int> queue_;
+  // FIFO of S-vertices to scan: pushed at the back, read at queue_head_.
+  std::vector<int> queue_;
+  std::size_t queue_head_ = 0;
   int lca_stamp_ = 0;
 };
 

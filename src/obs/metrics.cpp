@@ -14,17 +14,6 @@ namespace {
 
 enum Kind { kCounter = 0, kGauge = 1, kHistogram = 2, kSummary = 3 };
 
-void append_number(std::string& out, double v) {
-  char buf[40];
-  if (v == static_cast<double>(static_cast<long long>(v)) && v > -1e15 &&
-      v < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  out += buf;
-}
-
 std::string serialize_labels(const Labels& labels) {
   Labels sorted = labels;
   std::sort(sorted.begin(), sorted.end());
@@ -223,7 +212,7 @@ std::string MetricsRegistry::prometheus_text() const {
       out += '}';
     }
     out += ' ';
-    append_number(out, value);
+    append_json_double(out, value);
     out += '\n';
   };
   for (const auto& [key, s] : series_) {
@@ -307,34 +296,34 @@ std::string MetricsRegistry::json_snapshot() const {
     out += "\":";
     switch (s->kind) {
       case kCounter:
-        append_number(out, s->counter.value());
+        append_json_double(out, s->counter.value());
         break;
       case kGauge:
-        append_number(out, s->gauge.value());
+        append_json_double(out, s->gauge.value());
         break;
       case kHistogram: {
         const Histogram& h = *s->histogram;
         out += "{\"count\":";
-        append_number(out, static_cast<double>(h.count()));
+        append_json_double(out, static_cast<double>(h.count()));
         out += ",\"sum\":";
-        append_number(out, h.sum());
+        append_json_double(out, h.sum());
         out += ",\"p50\":";
-        append_number(out, h.quantile(0.5));
+        append_json_double(out, h.quantile(0.5));
         out += ",\"p99\":";
-        append_number(out, h.quantile(0.99));
+        append_json_double(out, h.quantile(0.99));
         out += '}';
         break;
       }
       default: {
         const Summary& sm = *s->summary;
         out += "{\"count\":";
-        append_number(out, static_cast<double>(sm.count()));
+        append_json_double(out, static_cast<double>(sm.count()));
         out += ",\"sum\":";
-        append_number(out, sm.sum());
+        append_json_double(out, sm.sum());
         out += ",\"p50\":";
-        append_number(out, sm.percentile(50));
+        append_json_double(out, sm.percentile(50));
         out += ",\"p99\":";
-        append_number(out, sm.percentile(99));
+        append_json_double(out, sm.percentile(99));
         out += '}';
       }
     }

@@ -64,6 +64,12 @@ class Gauge {
   std::atomic<double> value_{0};
 };
 
+// Upper bounds, in seconds, of every scheduling-round phase histogram
+// (muri_sched_phase_seconds, muri_daemon_round_phase_seconds): powers of
+// ten from sub-100µs sorts to multi-second contended matchings.
+inline const std::vector<double> kRoundPhaseBounds{1e-5, 1e-4, 1e-3, 1e-2,
+                                                   0.1,  1.0,  10.0};
+
 // Fixed-bucket histogram. Buckets are the Prometheus convention: an
 // observation lands in the first bucket whose upper bound is >= the value
 // (`le`, less-or-equal edges), with an implicit +Inf bucket at the end.

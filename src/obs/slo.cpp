@@ -1,25 +1,9 @@
 #include "obs/slo.h"
 
-#include <cstdio>
-
 #include "obs/metrics.h"
+#include "obs/provenance.h"
 
 namespace muri::obs {
-
-namespace {
-
-void append_number(std::string& out, double v) {
-  char buf[40];
-  if (v == static_cast<double>(static_cast<long long>(v)) && v > -1e15 &&
-      v < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  out += buf;
-}
-
-}  // namespace
 
 SloTracker::SloTracker(const SloConfig& cfg, MetricsRegistry* registry)
     : window_s_(cfg.window_s > 0 ? cfg.window_s : 60.0),
@@ -141,7 +125,7 @@ std::string SloTracker::json() const {
   out += ",\"status\":\"";
   out += violating ? "violating" : "ok";
   out += "\",\"window_s\":";
-  append_number(out, window_s_);
+  append_json_double(out, window_s_);
   out += ",\"targets\":[";
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const TargetState& s = entries_[i].state;
@@ -151,17 +135,17 @@ std::string SloTracker::json() const {
     out += "\",\"reduce\":\"";
     out += s.reduce == Reduce::kP99 ? "p99" : "max";
     out += "\",\"threshold\":";
-    append_number(out, s.threshold);
+    append_json_double(out, s.threshold);
     out += ",\"value\":";
-    append_number(out, s.value);
+    append_json_double(out, s.value);
     out += ",\"burn_rate\":";
-    append_number(out, s.burn_rate);
+    append_json_double(out, s.burn_rate);
     out += ",\"violating\":";
     out += s.violating ? "true" : "false";
     out += ",\"violations\":";
-    append_number(out, static_cast<double>(s.violations));
+    append_json_double(out, static_cast<double>(s.violations));
     out += ",\"samples\":";
-    append_number(out, static_cast<double>(s.samples));
+    append_json_double(out, static_cast<double>(s.samples));
     out += '}';
   }
   out += "]}";

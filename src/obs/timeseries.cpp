@@ -1,27 +1,11 @@
 #include "obs/timeseries.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/stats.h"
 #include "obs/provenance.h"
 
 namespace muri::obs {
-
-namespace {
-
-void append_number(std::string& out, double v) {
-  char buf[40];
-  if (v == static_cast<double>(static_cast<long long>(v)) && v > -1e15 &&
-      v < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  out += buf;
-}
-
-}  // namespace
 
 TimeSeries::TimeSeries(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
@@ -161,13 +145,13 @@ std::string TimeSeriesStore::history_json(double now, double window_s,
                                           bool include_points) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\"now\":";
-  append_number(out, now);
+  append_json_double(out, now);
   out += ",\"window_s\":";
-  append_number(out, window_s);
+  append_json_double(out, window_s);
   out += ",\"samples\":";
-  append_number(out, static_cast<double>(samples_));
+  append_json_double(out, static_cast<double>(samples_));
   out += ",\"capacity_per_series\":";
-  append_number(out, static_cast<double>(capacity_));
+  append_json_double(out, static_cast<double>(capacity_));
   out += ",\"series\":{";
   bool first = true;
   for (const auto& [name, entry] : series_) {
@@ -178,30 +162,30 @@ std::string TimeSeriesStore::history_json(double now, double window_s,
     out += "\":{";
     const WindowStats ws = entry.series.stats(now, window_s);
     out += "\"count\":";
-    append_number(out, static_cast<double>(ws.count));
+    append_json_double(out, static_cast<double>(ws.count));
     out += ",\"min\":";
-    append_number(out, ws.min);
+    append_json_double(out, ws.min);
     out += ",\"max\":";
-    append_number(out, ws.max);
+    append_json_double(out, ws.max);
     out += ",\"avg\":";
-    append_number(out, ws.avg);
+    append_json_double(out, ws.avg);
     out += ",\"p50\":";
-    append_number(out, ws.p50);
+    append_json_double(out, ws.p50);
     out += ",\"p90\":";
-    append_number(out, ws.p90);
+    append_json_double(out, ws.p90);
     out += ",\"p99\":";
-    append_number(out, ws.p99);
+    append_json_double(out, ws.p99);
     out += ",\"last\":";
-    append_number(out, ws.last);
+    append_json_double(out, ws.last);
     if (include_points) {
       out += ",\"points\":[";
       const auto pts = entry.series.window(now, window_s);
       for (std::size_t i = 0; i < pts.size(); ++i) {
         if (i) out += ',';
         out += '[';
-        append_number(out, pts[i].time);
+        append_json_double(out, pts[i].time);
         out += ',';
-        append_number(out, pts[i].value);
+        append_json_double(out, pts[i].value);
         out += ']';
       }
       out += ']';

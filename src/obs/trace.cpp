@@ -26,20 +26,6 @@ struct LocalRingCache {
 };
 thread_local LocalRingCache t_ring_cache;
 
-void append_double(std::string& out, double v) {
-  char buf[40];
-  // Shortest round-trippable decimal: %.17g is exact for IEEE doubles and
-  // deterministic for a given value, which the byte-stability guarantee
-  // leans on. Integers print without an exponent for readability.
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      v > -1e15 && v < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  out += buf;
-}
-
 void append_args(std::string& out, const TraceArgs& args,
                  const std::string& detail) {
   bool any = false;
@@ -48,7 +34,7 @@ void append_args(std::string& out, const TraceArgs& args,
     out += any ? ",\"" : ",\"args\":{\"";
     append_json_escaped(out, args.key[i]);
     out += "\":";
-    append_double(out, args.value[i]);
+    append_json_double(out, args.value[i]);
     any = true;
   }
   if (!detail.empty()) {

@@ -1,9 +1,12 @@
 #include "scheduler/muri.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <thread>
@@ -23,7 +26,86 @@ namespace {
 
 struct GroupNode {
   std::vector<int> members;  // indices into the bucket's profile array
+  int sig = 0;               // Signatures id of the members' class sequence
 };
+
+// γ of a node pair depends only on the ordered profiles of
+// a.members ++ b.members. So profiles fall into classes by exact bit
+// equality, and each node carries a signature that fixes its ordered
+// member-class sequence: a singleton's signature is its class, and a
+// merged node's interns the ordered pair of its halves' signatures. Two
+// node pairs with the same ordered (signature, signature) key price the
+// same floating-point code on the same inputs. (Equal sequences reached
+// through different splits get different signatures; that costs a table
+// miss, never a wrong value, and needs a third stage: groups above 4.)
+class Signatures {
+ public:
+  // Classes of `profiles` in first-appearance order, one per profile.
+  std::vector<int> classify(const std::vector<ResourceVector>& profiles) {
+    using Bits = std::array<std::uint64_t, kNumResources>;
+    static_assert(sizeof(Bits) == sizeof(ResourceVector));
+    std::map<Bits, int> ids;
+    std::vector<int> class_of;
+    class_of.reserve(profiles.size());
+    for (const ResourceVector& p : profiles) {
+      Bits bits;
+      std::memcpy(bits.data(), p.data(), sizeof(bits));
+      class_of.push_back(ids.try_emplace(bits, classes_).first->second);
+      if (class_of.back() == classes_) ++classes_;
+    }
+    return class_of;
+  }
+
+  // Signature of the node merged from `a` followed by `b`.
+  int concat(int a, int b) {
+    return merged_.try_emplace({a, b}, count()).first->second;
+  }
+
+  int count() const { return classes_ + static_cast<int>(merged_.size()); }
+
+ private:
+  int classes_ = 0;
+  std::map<std::pair<int, int>, int> merged_;  // (a, b) -> id >= classes_
+};
+
+// The edge weights of one grouping stage, one cell per ordered pair of
+// the stage's distinct signatures: the weight every node pair with that
+// key gets (γ when γ > 0, else 0, "no edge"), or kUnpriced.
+struct StageTable {
+  static constexpr double kUnpriced =
+      std::numeric_limits<double>::quiet_NaN();
+  std::vector<int> local;     // signature -> dense id this stage, or -1
+  int size = 0;
+  std::vector<double> cells;  // size × size
+};
+
+// Refills `next` for the stage whose nodes are `nodes` and carries over
+// the cells of `prev` whose two signatures are alive in both stages, so
+// each key is priced once per call. Reuses the buffers `next` holds.
+void next_stage_table(const std::vector<GroupNode>& nodes, int signatures,
+                      const StageTable& prev, StageTable& next) {
+  next.local.assign(static_cast<size_t>(signatures), -1);
+  next.size = 0;
+  for (const GroupNode& node : nodes) {
+    int& id = next.local[static_cast<size_t>(node.sig)];
+    if (id < 0) id = next.size++;
+  }
+  next.cells.assign(static_cast<size_t>(next.size) * next.size,
+                    StageTable::kUnpriced);
+  // (next id, prev id) of the signatures alive in both stages.
+  std::vector<std::pair<int, int>> carried;
+  for (size_t sig = 0; sig < prev.local.size(); ++sig) {
+    if (prev.local[sig] >= 0 && next.local[sig] >= 0) {
+      carried.emplace_back(next.local[sig], prev.local[sig]);
+    }
+  }
+  for (const auto& [i, pi] : carried) {
+    for (const auto& [j, pj] : carried) {
+      next.cells[static_cast<size_t>(i) * next.size + j] =
+          prev.cells[static_cast<size_t>(pi) * prev.size + pj];
+    }
+  }
+}
 
 using Clock = std::chrono::steady_clock;
 
@@ -48,7 +130,7 @@ void export_round_metrics(obs::MetricsRegistry& m, const GroupingStats& round,
             "Wall seconds inside Blossom matching")
       .inc(round.matching_seconds);
   m.counter("muri_sched_gamma_evals_total",
-            "Admissible node pairs priced for the matching graph")
+            "Admissible node pairs not priced from the grouping class table")
       .inc(static_cast<double>(round.cache_misses));
   m.counter("muri_sched_matchings_total", "Blossom invocations")
       .inc(static_cast<double>(round.matchings_run));
@@ -95,14 +177,11 @@ void export_round_metrics(obs::MetricsRegistry& m, const GroupingStats& round,
             "End-to-end wall time of schedule()")
       .observe(round_wall_seconds);
   // Per-phase latency histograms for the live SLO plane's round
-  // breakdown (/stats). One labeled series per phase; exponential bounds
-  // cover sub-100µs sorts through multi-second contended matchings.
-  static const std::vector<double> kPhaseBounds{1e-5, 1e-4, 1e-3, 1e-2,
-                                                0.1,  1.0,  10.0};
+  // breakdown (/stats), one labeled series per phase.
   const auto phase = [&](const char* name, double seconds) {
     m.histogram("muri_sched_phase_seconds",
-                "Wall seconds per scheduling-round phase", kPhaseBounds,
-                {{"phase", name}})
+                "Wall seconds per scheduling-round phase",
+                obs::kRoundPhaseBounds, {{"phase", name}})
         .observe(seconds);
   };
   phase("sort", round.priority_sort_seconds);
@@ -128,8 +207,21 @@ std::vector<std::vector<int>> multi_round_grouping(
     return singletons;
   }
 
+  const auto t_classes = Clock::now();
+  Signatures signatures;
+  const std::vector<int> class_of = signatures.classify(profiles);
+  for (GroupNode& node : nodes) {
+    node.sig = class_of[static_cast<size_t>(node.members[0])];
+  }
+  // Two stage tables per thread, reused across calls like the Blossom
+  // workspace: allocating an n² table per call cost more than filling it.
+  thread_local StageTable table, spare;
+  table.local.clear();
+  if (stats != nullptr) stats->graph_build_seconds += seconds_since(t_classes);
+
   PlanScratch scratch;
   std::vector<ResourceVector> group;
+  std::vector<int> node_local;
   const int rounds = static_cast<int>(
       std::ceil(std::log2(static_cast<double>(max_group_size))));
   for (int round = 0; round < rounds; ++round) {
@@ -141,39 +233,60 @@ std::vector<std::vector<int>> multi_round_grouping(
     // γ closed form; for merged nodes it is the true γ of the group the
     // merge would create (a super-node "is" its member set, so
     // interleaving two super-nodes means interleaving all their members).
+    // Each ordered signature key is priced once (see Signatures).
     const auto t_graph = Clock::now();
+    next_stage_table(nodes, signatures.count(), table, spare);
+    std::swap(table, spare);
+    node_local.resize(static_cast<size_t>(n));
+    for (int u = 0; u < n; ++u) {
+      node_local[static_cast<size_t>(u)] =
+          table.local[static_cast<size_t>(nodes[static_cast<size_t>(u)].sig)];
+    }
     DenseGraph graph(n);
     bool any_edge = false;
     for (int u = 0; u < n; ++u) {
       const GroupNode& a = nodes[static_cast<size_t>(u)];
+      const size_t row =
+          static_cast<size_t>(node_local[static_cast<size_t>(u)]) * table.size;
       for (int v = u + 1; v < n; ++v) {
         const GroupNode& b = nodes[static_cast<size_t>(v)];
         const int combined =
             static_cast<int>(a.members.size() + b.members.size());
         if (combined > max_group_size) continue;
-        if (stats != nullptr) ++stats->cache_misses;
         // Round 0 offers every pair as two singletons. The cross-round
         // pair memo (matching/incremental) validates full profile bits,
-        // so a hit is bit-identical to recomputation.
+        // so a hit is bit-identical to recomputation. The class table
+        // serves only the pairs the memo does not.
         const bool pair = round == 0 && pair_hook != nullptr;
         double gamma = 0;
-        const bool memo =
-            pair && pair_hook->lookup(a.members[0], b.members[0], &gamma);
-        if (!memo) {
-          if (combined == 2) {
-            gamma = pairwise_efficiency(
-                profiles[static_cast<size_t>(a.members[0])],
-                profiles[static_cast<size_t>(b.members[0])]);
+        bool from_table = false;
+        if (!(pair && pair_hook->lookup(a.members[0], b.members[0], &gamma))) {
+          double& cell =
+              table.cells[row + static_cast<size_t>(
+                                    node_local[static_cast<size_t>(v)])];
+          if (!std::isnan(cell)) {
+            gamma = cell;
+            from_table = true;
           } else {
-            group.clear();
-            for (int idx : a.members) {
-              group.push_back(profiles[static_cast<size_t>(idx)]);
+            if (combined == 2) {
+              gamma = pairwise_efficiency(
+                  profiles[static_cast<size_t>(a.members[0])],
+                  profiles[static_cast<size_t>(b.members[0])]);
+            } else {
+              group.clear();
+              for (int idx : a.members) {
+                group.push_back(profiles[static_cast<size_t>(idx)]);
+              }
+              for (int idx : b.members) {
+                group.push_back(profiles[static_cast<size_t>(idx)]);
+              }
+              gamma = interleave_efficiency(group, scratch);
             }
-            for (int idx : b.members) {
-              group.push_back(profiles[static_cast<size_t>(idx)]);
-            }
-            gamma = interleave_efficiency(group, scratch);
+            cell = gamma > 0 ? gamma : 0.0;
           }
+        }
+        if (stats != nullptr) {
+          ++(from_table ? stats->cache_hits : stats->cache_misses);
         }
         if (gamma > 0) {
           graph.set_weight(u, v, gamma);
@@ -250,6 +363,8 @@ std::vector<std::vector<int>> multi_round_grouping(
         merged.members.insert(merged.members.end(),
                               nodes[static_cast<size_t>(v)].members.begin(),
                               nodes[static_cast<size_t>(v)].members.end());
+        merged.sig = signatures.concat(nodes[static_cast<size_t>(u)].sig,
+                                       nodes[static_cast<size_t>(v)].sig);
         next.push_back(std::move(merged));
       } else {
         consumed[static_cast<size_t>(u)] = true;

@@ -118,10 +118,12 @@ struct GroupingStats {
   // in byte-compared outputs.
   double priority_sort_seconds = 0;
   double admission_seconds = 0;
-  // γ work: cache_misses counts every admissible node pair priced for a
-  // matching graph (muri_sched_gamma_evals_total), round-0 pairs served
-  // by the incremental pair cache included. cache_hits is always 0: no
-  // per-call γ memo exists. Both names stay for existing readers.
+  // γ work over the admissible node pairs of the matching graphs.
+  // cache_hits counts pairs priced from the grouping call's class table
+  // (an ordered pair of member-class sequences priced earlier in the same
+  // call). cache_misses counts the rest (muri_sched_gamma_evals_total):
+  // pairs whose γ was evaluated, and round-0 pairs served by the
+  // incremental pair cache. Their sum is every admissible pair.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   // Blossom invocations.
@@ -221,8 +223,11 @@ class MuriScheduler final : public Scheduler {
 // groups of at most `max_group_size`, running ceil(log2(max_group_size))
 // rounds of maximum-weight matching with interleaving-efficiency weights.
 // Returns groups as index lists into `profiles`. Runs on the calling
-// thread and keeps no state between calls, so independent calls may run
-// concurrently.
+// thread, and nothing a call leaves behind (only per-thread buffers)
+// affects the next one, so independent calls may run concurrently.
+// Within a call, γ is priced once per ordered pair of member-class
+// sequences, classes being bitwise-equal profiles; every later pair with
+// the same key reuses that value.
 // `stats` (may be null) receives timing and work counters.
 // `capture` (may be null) receives one MatchingRoundRecord per Blossom
 // round — nodes, positive edges, merges, survivors — copied out of the

@@ -132,17 +132,15 @@ struct MuriDaemon::Observer final : EngineObserver {
 
   void on_round(Time now, double schedule_s, double place_s) override {
     (void)now;
-    static const std::vector<double> kBounds{1e-5, 1e-4, 1e-3, 1e-2,
-                                             0.1,  1.0,  10.0};
     d.registry_
         .histogram("muri_daemon_round_phase_seconds",
-                   "Wall seconds per engine round phase", kBounds,
-                   {{"phase", "schedule"}})
+                   "Wall seconds per engine round phase",
+                   obs::kRoundPhaseBounds, {{"phase", "schedule"}})
         .observe(schedule_s);
     d.registry_
         .histogram("muri_daemon_round_phase_seconds",
-                   "Wall seconds per engine round phase", kBounds,
-                   {{"phase", "place"}})
+                   "Wall seconds per engine round phase",
+                   obs::kRoundPhaseBounds, {{"phase", "place"}})
         .observe(place_s);
   }
 
@@ -468,12 +466,10 @@ void MuriDaemon::pump(Time now, bool force_round) {
     if (history_ != nullptr) history_->append("round_latency_s", w, round_s);
     if (sink_ != nullptr) {
       const recovery::DurableSink::IoStats io1 = sink_->io_stats();
-      static const std::vector<double> kBounds{1e-5, 1e-4, 1e-3, 1e-2,
-                                               0.1,  1.0,  10.0};
       registry_
           .histogram("muri_daemon_round_phase_seconds",
-                     "Wall seconds per engine round phase", kBounds,
-                     {{"phase", "wal"}})
+                     "Wall seconds per engine round phase",
+                     obs::kRoundPhaseBounds, {{"phase", "wal"}})
           .observe((io1.append_seconds - io0.append_seconds) +
                    (io1.fsync_seconds - io0.fsync_seconds));
       if (io1.fsyncs > io0.fsyncs) {
@@ -793,13 +789,11 @@ void MuriDaemon::handle_stats(obs::HttpResponse& resp) {
   // Round-phase histograms (observer + pump): sum/count per phase.
   out += ",\"round_phases\":{";
   {
-    static const std::vector<double> kBounds{1e-5, 1e-4, 1e-3, 1e-2,
-                                             0.1,  1.0,  10.0};
     bool first = true;
     for (const char* phase : {"schedule", "place", "wal"}) {
       obs::Histogram& hg = registry_.histogram(
           "muri_daemon_round_phase_seconds",
-          "Wall seconds per engine round phase", kBounds,
+          "Wall seconds per engine round phase", obs::kRoundPhaseBounds,
           {{"phase", phase}});
       if (!first) out += ',';
       first = false;

@@ -6,11 +6,16 @@ checked-in bench/baselines/BENCH_sched_round.json and fails (exit 1) when
 any (config, jobs, threads) point regressed by more than the threshold.
 
 CI runners and the machine that produced the baseline differ in raw
-speed, so absolute times are not comparable. The gate normalizes by the
-median ratio across all points first: a uniformly slower machine shifts
-every ratio equally and cancels out, while a real regression sticks out
-of the distribution. A point fails only when its normalized ratio
-exceeds 1 + threshold.
+speed, so absolute times are not comparable. Each sweep file records
+`reference_seconds`, the time of a fixed single-threaded kernel run
+beside the sweep, and the gate divides every point's ratio by the
+ratio of the two reference times: a uniformly slower machine shifts
+every ratio and the reference alike and cancels out. A point fails only
+when its normalized ratio exceeds 1 + threshold. Normalizing by the
+median ratio instead, as this gate once did, reads a change that speeds
+up most points as a regression of the points it leaves alone; the median
+is used only when a file predates `reference_seconds` (a hard failure
+with --strict).
 
 Sub-millisecond sweep points jitter by tens of percent run to run, so a
 ratio alone would cry wolf; a point regresses only when it exceeds the
@@ -40,8 +45,15 @@ import sys
 
 
 def load_points(path, key, strict=False):
+    """Returns (points, reference_seconds or None) of one sweep file."""
     with open(path) as f:
         doc = json.load(f)
+    reference = doc.get("reference_seconds")
+    if reference is not None and (not isinstance(reference, (int, float))
+                                  or reference <= 0):
+        raise ValueError(f"{path}: bad reference_seconds: {reference!r}")
+    if reference is None and strict:
+        raise ValueError(f"{path}: lacks reference_seconds (--strict)")
     points = {}
     for p in doc.get("sweep", []):
         ident = (p["config"], p["jobs"], p["threads"])
@@ -58,7 +70,7 @@ def load_points(path, key, strict=False):
         points[ident] = float(value)
     if not points:
         raise ValueError(f"{path}: no sweep points with metric {key!r}")
-    return points
+    return points, reference
 
 
 def main():
@@ -78,7 +90,7 @@ def main():
     args = parser.parse_args()
 
     try:
-        base = load_points(args.baseline, args.key, args.strict)
+        base, base_ref = load_points(args.baseline, args.key, args.strict)
     except OSError as e:
         print(f"diff_bench: baseline missing or unreadable: {e}\n"
               f"diff_bench: commit a baseline at {args.baseline} "
@@ -88,7 +100,7 @@ def main():
         print(f"diff_bench: malformed baseline: {e}", file=sys.stderr)
         return 1
     try:
-        cur = load_points(args.current, args.key, args.strict)
+        cur, cur_ref = load_points(args.current, args.key, args.strict)
     except (OSError, ValueError, KeyError) as e:
         print(f"diff_bench: cannot read current sweep: {e}", file=sys.stderr)
         return 1
@@ -103,12 +115,18 @@ def main():
         print(f"diff_bench: note: {ident} only in {side}; skipped")
 
     ratios = {ident: cur[ident] / base[ident] for ident in shared}
-    machine_factor = statistics.median(ratios.values())
+    if base_ref is not None and cur_ref is not None:
+        machine_factor = cur_ref / base_ref
+        source = "reference kernel"
+    else:
+        machine_factor = statistics.median(ratios.values())
+        source = "median ratio (a file lacks reference_seconds)"
     limit = 1.0 + args.threshold
 
     regressed = []
     print(f"diff_bench: {len(shared)} shared points, machine factor "
-          f"{machine_factor:.3f}, limit {limit:.2f}x after normalization")
+          f"{machine_factor:.3f} from the {source}, limit {limit:.2f}x "
+          f"after normalization")
     for ident in shared:
         normalized = ratios[ident] / machine_factor
         delta_ms = (cur[ident] - base[ident] * machine_factor) * 1e3
