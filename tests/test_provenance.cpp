@@ -225,6 +225,22 @@ std::vector<JobView> contended_queue(int n, std::uint64_t seed) {
   return queue;
 }
 
+// A contended queue spread over several GPU buckets: demands cycle
+// 1/2/4/8, and one lone 3-GPU job makes a single-member bucket.
+std::vector<JobView> multi_bucket_queue(int n, std::uint64_t seed) {
+  constexpr int kDemands[4] = {1, 2, 4, 8};
+  auto queue = contended_queue(n + 1, seed);
+  for (int i = 0; i < n; ++i) {
+    JobView& v = queue[static_cast<size_t>(i)];
+    v.num_gpus = kDemands[i % 4];
+    v.measured = model_profile(kAllModels[static_cast<size_t>(i) % kNumModels],
+                               v.num_gpus);
+  }
+  queue.back().num_gpus = 3;
+  queue.back().measured = model_profile(kAllModels[0], 3);
+  return queue;
+}
+
 bool same_plan(const std::vector<PlannedGroup>& a,
                const std::vector<PlannedGroup>& b) {
   if (a.size() != b.size()) return false;
@@ -301,10 +317,55 @@ TEST(Provenance, MuriRoundLogsTheWholeStoryWithoutChangingThePlan) {
   EXPECT_TRUE(saw_multi);
 }
 
-TEST(Provenance, MuriLogIsByteStableAcrossRunsAndThreadCounts) {
-  const auto queue = contended_queue(40, 11);
+TEST(Provenance, MuriBucketRecordsCarryOneComponentEach) {
+  // 153 GPUs of demand on 40: contended, and all within the candidate
+  // prefix (4 × 40 GPUs), so every bucket, the lone one too, is grouped.
+  const auto queue = multi_bucket_queue(40, 5);
   SchedulerContext ctx;
-  ctx.total_gpus = 8;
+  ctx.total_gpus = 40;
+  ctx.gpus_per_machine = 8;
+
+  for (const bool blossom : {true, false}) {
+    SCOPED_TRACE(blossom ? "blossom" : "noblossom");
+    DecisionLog log;
+    MuriOptions opt;
+    opt.use_blossom = blossom;
+    opt.decisions = &log;
+    MuriScheduler s(opt);
+    s.schedule(queue, ctx);
+
+    std::vector<DecisionRecord> records;
+    ASSERT_TRUE(obs::parse_decision_log(log.jsonl(), records));
+    int buckets = 0;
+    bool saw_single = false;
+    bool saw_multi = false;
+    for (const auto& r : records) {
+      if (r.value.at("type").string != "bucket") continue;
+      ++buckets;
+      EXPECT_EQ(r.value.at("components").number, blossom ? 1.0 : 0.0);
+      const size_t jobs = r.value.at("jobs").array.size();
+      (jobs == 1 ? saw_single : saw_multi) = true;
+    }
+    EXPECT_GE(buckets, 4);
+    EXPECT_TRUE(saw_single);
+    EXPECT_TRUE(saw_multi);
+    const int match_rounds = count_type(records, "match_round");
+    if (blossom) {
+      EXPECT_GE(match_rounds, buckets - 1);
+    } else {
+      EXPECT_EQ(match_rounds, 0);
+    }
+    for (const auto& r : records) {
+      if (r.value.at("type").string != "match_round") continue;
+      EXPECT_EQ(r.value.at("component").number, 0.0);
+    }
+  }
+}
+
+TEST(Provenance, MuriLogIsByteStableAcrossRunsAndThreadCounts) {
+  const auto queue = multi_bucket_queue(40, 11);
+  SchedulerContext ctx;
+  ctx.total_gpus = 40;
   ctx.gpus_per_machine = 8;
 
   const auto dump_with_threads = [&](int threads) {
@@ -321,6 +382,9 @@ TEST(Provenance, MuriLogIsByteStableAcrossRunsAndThreadCounts) {
   EXPECT_EQ(serial, dump_with_threads(1));  // run-to-run
   EXPECT_EQ(serial, dump_with_threads(4));  // thread-count invariance
   EXPECT_NE(serial.find("\"round\":2"), std::string::npos);
+  // Several buckets, so the 4-thread run really fans out.
+  EXPECT_NE(serial.find("{\"type\":\"bucket\",\"round\":2,\"gpus\":8,"),
+            std::string::npos);
 }
 
 TEST(Provenance, BaselineRoundsLogPriorityAndAdmission) {
