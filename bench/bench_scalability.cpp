@@ -15,13 +15,6 @@
 // The sweep also enforces the determinism gate: every multi-threaded plan
 // is compared against the single-threaded plan and a mismatch fails the
 // run (exit 1) — speed without bit-identical output is a bug here.
-//
-// The sweep additionally runs the incremental-round churn matrix
-// (mode × churn-rate × jobs × threads): a persistent scheduler replays a
-// seeded arrival/finish sequence in full-rebuild and incremental modes,
-// enforces plan equality round for round, and records the speedup in the
-// same JSON (configs "rebuild-topk8-churnN" / "incr-topk8-churnN"). The
-// full sweep's 10,000-job points back the ≥10× incremental target.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -138,9 +131,8 @@ BENCHMARK(BM_GreedyMatching)->Arg(128)->Arg(256)
 
 // Three queue shapes: "buckets4" cycles GPU demand 1/2/4/8 so the round
 // groups four independent buckets concurrently (the common production
-// shape), "bucket1" puts every job in the single 1-GPU bucket — one
-// component, grouped on one thread whatever the thread count (the honest
-// worst case). "distinct1" is bucket1 with every stage time jittered by
+// shape), "bucket1" puts every job in the single 1-GPU bucket, grouped
+// on one thread whatever the thread count (the honest worst case). "distinct1" is bucket1 with every stage time jittered by
 // ±10%, so no two profiles are equal and the grouping's class table can
 // serve no stage-0 pair (as with measured, uncached profiles).
 std::vector<JobView> sweep_queue(int jobs, bool four_buckets,
@@ -229,184 +221,7 @@ struct SweepPoint {
   int groups = 0;
   bool identical_to_serial = true;
   double speedup_vs_serial = 1.0;
-  // Incremental-vs-rebuild ratio at the same (jobs, churn, threads).
-  // 0 means "not an incremental point".
-  double speedup_vs_rebuild = 0.0;
 };
-
-// ---------------------------------------------------------------------------
-// Churn sweep: a persistent scheduler survives across rounds while a fixed
-// fraction of the queue is replaced each round (finish + arrival pairs).
-// Runs every point twice — full rebuild and incremental — on the *same*
-// seeded round sequence, so the plans must match round for round (the
-// bit-identity contract; any divergence fails the run) and the timing
-// ratio is the honest incremental speedup.
-
-std::vector<std::vector<JobView>> churn_rounds(int jobs, double churn,
-                                               int num_rounds,
-                                               std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<JobView> queue = sweep_queue(jobs, /*four_buckets=*/true, seed);
-  JobId next_id = jobs;
-  constexpr int kDemands[4] = {1, 2, 4, 8};
-  std::vector<std::vector<JobView>> rounds;
-  rounds.push_back(queue);
-  for (int r = 1; r < num_rounds; ++r) {
-    const int n_churn = std::max(
-        1, static_cast<int>(static_cast<double>(jobs) * churn));
-    for (int i = 0; i < n_churn; ++i) {
-      const auto idx = static_cast<size_t>(
-          rng.uniform_int(0, static_cast<int>(queue.size()) - 1));
-      queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(idx));
-    }
-    for (int i = 0; i < n_churn; ++i) {
-      JobView v;
-      v.id = next_id++;
-      v.num_gpus = kDemands[static_cast<size_t>(rng.uniform_int(0, 3))];
-      v.remaining_time = rng.uniform(10, 3000);
-      v.attained_service = rng.uniform(0, 2000);
-      v.measured = model_profile(kAllModels[static_cast<size_t>(
-                                     rng.uniform_int(0, kNumModels - 1))],
-                                 v.num_gpus);
-      queue.push_back(v);
-    }
-    rounds.push_back(queue);
-  }
-  return rounds;
-}
-
-struct ModeResult {
-  std::vector<double> round_secs;  // measured rounds only
-  std::vector<std::vector<PlannedGroup>> plans;  // every round
-  GroupingStats stats;  // accumulated over measured rounds
-  int groups = 0;
-};
-
-ModeResult run_churn_mode(const std::vector<std::vector<JobView>>& rounds,
-                          int jobs, bool incremental, int threads,
-                          int warmup) {
-  MuriOptions opt;
-  opt.durations_known = true;
-  opt.candidate_cap = jobs;
-  opt.top_k = 8;
-  opt.component_cap = 16;
-  opt.incremental = incremental;
-  opt.num_threads = threads;
-  MuriScheduler sched(opt);
-
-  SchedulerContext ctx;
-  ctx.durations_known = true;
-  ctx.total_gpus = jobs;
-  ctx.gpus_per_machine = 8;
-
-  ModeResult r;
-  for (size_t i = 0; i < rounds.size(); ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto plan = sched.schedule(rounds[i], ctx);
-    const double sec = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-    if (static_cast<int>(i) >= warmup) {
-      r.round_secs.push_back(sec);
-      r.stats.accumulate(sched.last_round_stats());
-    }
-    r.groups = static_cast<int>(plan.size());
-    r.plans.push_back(std::move(plan));
-  }
-  return r;
-}
-
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-bool run_churn_sweep(bool small, std::vector<SweepPoint>& points) {
-  const std::vector<int> job_sizes =
-      small ? std::vector<int>{96} : std::vector<int>{1000, 10000};
-  const std::vector<double> churn_rates =
-      small ? std::vector<double>{0.05, 0.10}
-            : std::vector<double>{0.02, 0.05, 0.10};
-  const std::vector<int> thread_counts{1, 4};
-  const int warmup = small ? 1 : 2;
-  const int measured = small ? 3 : 5;
-
-  bool ok = true;
-  for (const int jobs : job_sizes) {
-    for (const double churn : churn_rates) {
-      const auto rounds = churn_rounds(jobs, churn, warmup + measured, 4321);
-      // The serial full-rebuild plan sequence is the reference every other
-      // (mode, threads) combination must reproduce byte for byte.
-      std::vector<std::vector<PlannedGroup>> ref_plans;
-      double serial_secs[2] = {0, 0};  // [rebuild, incremental]
-      for (const int threads : thread_counts) {
-        for (const bool incremental : {false, true}) {
-          ModeResult r =
-              run_churn_mode(rounds, jobs, incremental, threads, warmup);
-          SweepPoint p;
-          char cfg[64];
-          std::snprintf(cfg, sizeof(cfg), "%s-topk8-churn%d",
-                        incremental ? "incr" : "rebuild",
-                        static_cast<int>(churn * 100 + 0.5));
-          p.config = cfg;
-          p.jobs = jobs;
-          p.threads = threads;
-          p.round_seconds = median_of(r.round_secs);
-          p.stats = r.stats;
-          p.groups = r.groups;
-          if (!incremental && threads == thread_counts.front()) {
-            ref_plans = r.plans;
-          } else {
-            p.identical_to_serial = true;
-            for (size_t i = 0; i < r.plans.size(); ++i) {
-              if (!same_plan(ref_plans[i], r.plans[i])) {
-                p.identical_to_serial = false;
-                ok = false;
-                std::fprintf(stderr,
-                             "EQUIVALENCE VIOLATION: %s jobs=%d threads=%d "
-                             "diverges from serial rebuild in round %zu\n",
-                             p.config.c_str(), jobs, threads, i);
-                break;
-              }
-            }
-          }
-          if (threads == thread_counts.front()) {
-            serial_secs[incremental ? 1 : 0] = p.round_seconds;
-            p.speedup_vs_serial = 1.0;
-          } else {
-            p.speedup_vs_serial =
-                serial_secs[incremental ? 1 : 0] / p.round_seconds;
-          }
-          if (incremental) {
-            // The rebuild point for this (jobs, churn, threads) was pushed
-            // immediately before this one.
-            p.speedup_vs_rebuild =
-                points.back().round_seconds / p.round_seconds;
-          }
-          char speedup[32] = "";
-          if (incremental) {
-            std::snprintf(speedup, sizeof(speedup), "  speedup=%.2fx",
-                          p.speedup_vs_rebuild);
-          }
-          std::printf(
-              "%-20s jobs=%-5d threads=%d  round=%9.3f ms  "
-              "dirty=%lld reused=%lld/%lld comp=%lld/%lld%s%s\n",
-              p.config.c_str(), jobs, threads, p.round_seconds * 1e3,
-              static_cast<long long>(p.stats.dirty_jobs),
-              static_cast<long long>(p.stats.edges_reused),
-              static_cast<long long>(p.stats.edges_reused +
-                                     p.stats.edges_patched),
-              static_cast<long long>(p.stats.components_reused),
-              static_cast<long long>(p.stats.components_total), speedup,
-              p.identical_to_serial ? "" : "  MISMATCH");
-          std::fflush(stdout);
-          points.push_back(std::move(p));
-        }
-      }
-    }
-  }
-  return ok;
-}
 
 int run_sweep(bool small, const std::string& out_path) {
   const std::vector<int> job_sizes =
@@ -483,8 +298,6 @@ int run_sweep(bool small, const std::string& out_path) {
     }
   }
 
-  const bool churn_ok = run_churn_sweep(small, points);
-  determinism_ok = determinism_ok && churn_ok;
   const double reference_after = reference_kernel_seconds();
   std::printf("reference kernel: %.3f ms before, %.3f ms after the sweep\n",
               reference_before * 1e3, reference_after * 1e3);
@@ -516,22 +329,14 @@ int run_sweep(bool small, const std::string& out_path) {
         "\"matching_seconds\": %.9f, \"gamma_evals\": %lld, "
         "\"gamma_table_hits\": %lld, "
         "\"matchings_run\": %lld, \"groups\": %d, "
-        "\"dirty_jobs\": %lld, \"edges_reused\": %lld, "
-        "\"edges_patched\": %lld, \"components_total\": %lld, "
-        "\"components_reused\": %lld, \"identical_to_serial\": %s, "
-        "\"speedup_vs_serial\": %.4f, \"speedup_vs_rebuild\": %.4f}%s\n",
+        "\"identical_to_serial\": %s, \"speedup_vs_serial\": %.4f}%s\n",
         p.config.c_str(), p.jobs, p.threads, p.round_seconds,
         p.stats.graph_build_seconds, p.stats.matching_seconds,
         static_cast<long long>(p.stats.cache_misses),
         static_cast<long long>(p.stats.cache_hits),
         static_cast<long long>(p.stats.matchings_run), p.groups,
-        static_cast<long long>(p.stats.dirty_jobs),
-        static_cast<long long>(p.stats.edges_reused),
-        static_cast<long long>(p.stats.edges_patched),
-        static_cast<long long>(p.stats.components_total),
-        static_cast<long long>(p.stats.components_reused),
         p.identical_to_serial ? "true" : "false", p.speedup_vs_serial,
-        p.speedup_vs_rebuild, i + 1 < points.size() ? "," : "");
+        i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -8,14 +8,12 @@
 #include <cstring>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <thread>
 #include <utility>
 
 #include "common/threadpool.h"
 #include "matching/blossom.h"
 #include "matching/capture.h"
-#include "matching/incremental/incremental.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/trace.h"
@@ -145,30 +143,6 @@ void export_round_metrics(obs::MetricsRegistry& m, const GroupingStats& round,
   m.counter("muri_decision_matching_fallbacks_total",
             "Grouping rounds that ended without a productive matching")
       .inc(static_cast<double>(round.matching_fallbacks));
-  // Delta-round accounting (matching/incremental). All zero in rebuild
-  // mode, so exporting unconditionally keeps the registry shape stable
-  // across configurations.
-  m.counter("muri_sched_dirty_jobs_total",
-            "Per-bucket membership changes processed by incremental rounds")
-      .inc(static_cast<double>(round.dirty_jobs));
-  m.counter("muri_sched_topk_rescans_total",
-            "Top-k candidate buffers rebuilt by a full rescan")
-      .inc(static_cast<double>(round.topk_rescans));
-  m.counter("muri_sched_pair_gamma_reused_total",
-            "Round-0 pairwise gamma values served from the cross-round cache")
-      .inc(static_cast<double>(round.edges_reused));
-  m.counter("muri_sched_pair_gamma_patched_total",
-            "Round-0 pairwise gamma values recomputed (dirty edges)")
-      .inc(static_cast<double>(round.edges_patched));
-  m.counter("muri_sched_components_total",
-            "Capped candidate-graph components offered to grouping")
-      .inc(static_cast<double>(round.components_total));
-  m.counter("muri_sched_components_reused_total",
-            "Components folded forward from the cross-round result cache")
-      .inc(static_cast<double>(round.components_reused));
-  m.counter("muri_sched_components_trivial_total",
-            "Single-member components served by the direct fast path")
-      .inc(static_cast<double>(round.components_trivial));
   m.gauge("muri_sched_queue_jobs", "Jobs visible to the last round")
       .set(static_cast<double>(queue_jobs));
   m.gauge("muri_sched_plan_groups", "Groups emitted by the last round")
@@ -194,7 +168,7 @@ void export_round_metrics(obs::MetricsRegistry& m, const GroupingStats& round,
 
 std::vector<std::vector<int>> multi_round_grouping(
     const std::vector<ResourceVector>& profiles, int max_group_size,
-    GroupingStats* stats, GroupingCapture* capture, PairGammaHook* pair_hook) {
+    GroupingStats* stats, GroupingCapture* capture) {
   assert(max_group_size >= 1);
   std::vector<GroupNode> nodes;
   nodes.reserve(profiles.size());
@@ -253,49 +227,34 @@ std::vector<std::vector<int>> multi_round_grouping(
         const int combined =
             static_cast<int>(a.members.size() + b.members.size());
         if (combined > max_group_size) continue;
-        // Round 0 offers every pair as two singletons. The cross-round
-        // pair memo (matching/incremental) validates full profile bits,
-        // so a hit is bit-identical to recomputation. The class table
-        // serves only the pairs the memo does not.
-        const bool pair = round == 0 && pair_hook != nullptr;
-        double gamma = 0;
-        bool from_table = false;
-        if (!(pair && pair_hook->lookup(a.members[0], b.members[0], &gamma))) {
-          double& cell =
-              table.cells[row + static_cast<size_t>(
-                                    node_local[static_cast<size_t>(v)])];
-          if (!std::isnan(cell)) {
-            gamma = cell;
-            from_table = true;
+        double& cell =
+            table.cells[row + static_cast<size_t>(
+                                  node_local[static_cast<size_t>(v)])];
+        const bool from_table = !std::isnan(cell);
+        if (!from_table) {
+          double gamma;
+          if (combined == 2) {
+            gamma = pairwise_efficiency(
+                profiles[static_cast<size_t>(a.members[0])],
+                profiles[static_cast<size_t>(b.members[0])]);
           } else {
-            if (combined == 2) {
-              gamma = pairwise_efficiency(
-                  profiles[static_cast<size_t>(a.members[0])],
-                  profiles[static_cast<size_t>(b.members[0])]);
-            } else {
-              group.clear();
-              for (int idx : a.members) {
-                group.push_back(profiles[static_cast<size_t>(idx)]);
-              }
-              for (int idx : b.members) {
-                group.push_back(profiles[static_cast<size_t>(idx)]);
-              }
-              gamma = interleave_efficiency(group, scratch);
+            group.clear();
+            for (int idx : a.members) {
+              group.push_back(profiles[static_cast<size_t>(idx)]);
             }
-            cell = gamma > 0 ? gamma : 0.0;
+            for (int idx : b.members) {
+              group.push_back(profiles[static_cast<size_t>(idx)]);
+            }
+            gamma = interleave_efficiency(group, scratch);
           }
+          cell = gamma > 0 ? gamma : 0.0;
         }
         if (stats != nullptr) {
           ++(from_table ? stats->cache_hits : stats->cache_misses);
         }
-        if (gamma > 0) {
-          graph.set_weight(u, v, gamma);
+        if (cell > 0) {
+          graph.set_weight(u, v, cell);
           any_edge = true;
-        }
-        // The hook records the cell value: 0 means "computed γ is 0",
-        // never "absent", because round 0 offers every pair.
-        if (pair) {
-          pair_hook->store(a.members[0], b.members[0], graph.weight(u, v));
         }
       }
     }
@@ -380,24 +339,10 @@ std::vector<std::vector<int>> multi_round_grouping(
   return groups;
 }
 
-// Cross-round incremental state: one BucketGraphState per GPU-demand
-// bucket key. std::map for deterministic iteration when aging out
-// buckets that stopped appearing.
-struct MuriScheduler::IncrementalState {
-  std::map<int, BucketGraphState> buckets;
-};
-
-// Entries (pair γs, component results, whole buckets) untouched for this
-// many rounds are dropped — long enough that transient priority shuffles
-// do not thrash the caches, short enough that a drained queue releases
-// its memory.
-constexpr std::int64_t kIncrementalMaxAge = 64;
-
 MuriScheduler::MuriScheduler(MuriOptions options) : options_(options) {
   assert(options_.max_group_size >= 1 &&
          options_.max_group_size <= kNumResources);
   assert(options_.num_threads >= 0);
-  assert(options_.top_k >= 0);
   set_decision_log(options_.decisions);
 }
 
@@ -427,19 +372,6 @@ std::string MuriScheduler::name() const {
   if (options_.ordering == OrderingPolicy::kWorst) n += "-worstorder";
   if (!options_.use_blossom) n += "-noblossom";
   if (!options_.bucket_by_gpu) n += "-nobucket";
-  // top_k (and its component cap) change which edges Blossom sees, so
-  // they are part of the scheduler's identity. `incremental` is absent
-  // on purpose: it is a pure latency knob, bit-identical to the rebuild
-  // at the same top_k — putting it in the name would break the
-  // DecisionLog byte-equality the equivalence gate enforces.
-  if (options_.top_k > 0) {
-    n += "-topk";
-    n += std::to_string(options_.top_k);
-    if (options_.component_cap != 32) {
-      n += "-cap";
-      n += std::to_string(options_.component_cap);
-    }
-  }
   return n;
 }
 
@@ -494,10 +426,8 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
       // A true wall span in the steady domain; in the manual (sim-time)
       // domain a round takes zero simulated time, so it collapses to a
       // deterministic zero-duration marker at the current sim instant.
-      // Args carry only mode-independent facts (queue, groups, round id):
-      // work counters like cache hits differ between the rebuild and
-      // incremental paths by design, and embedding them here would break
-      // the trace byte-equality the equivalence gate enforces.
+      // Args carry only facts of the plan (queue, groups, round id), never
+      // work counters or timings, so the trace stays byte-stable.
       const std::int64_t end_us = tr.now_micros();
       const std::int64_t dur_us =
           tr.manual_time() ? 0
@@ -525,10 +455,8 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
           .integer("capacity", ctx.capacity());
       // Lifecycle churn since the previous round, as reported by the
       // caller (the simulator plumbs arrivals/finishes/preemptions/
-      // evictions through SchedulerContext::dirty_jobs). Identical
-      // between rebuild and incremental runs — it describes the *input*
-      // delta, not the work done with it — so logging it keeps the
-      // DecisionLog byte-equality contract intact.
+      // evictions through SchedulerContext::dirty_jobs). It describes
+      // the input delta only; no scheduling decision reads it.
       if (ctx.dirty_jobs != nullptr) {
         e.integer("dirty",
                   static_cast<std::int64_t>(ctx.dirty_jobs->size()));
@@ -616,251 +544,50 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
     }
   }
 
-  // Job ids per bucket-local index — the candidate-graph identity the
-  // incremental masks and caches key on.
-  std::vector<std::vector<JobId>> bucket_job_ids(nb);
-  for (size_t bi = 0; bi < nb; ++bi) {
-    bucket_job_ids[bi].reserve(bucket_indices[bi].size());
-    for (int idx : bucket_indices[bi]) {
-      bucket_job_ids[bi].push_back(candidates[static_cast<size_t>(idx)].id);
-    }
-  }
-
-  // Incremental mode: pre-create every bucket's persistent state
-  // serially before the parallel phase (inserting into the map from
-  // concurrent bucket tasks would race), then let each bucket task
-  // mutate only its own state — cache evolution is confined to the
-  // bucket's deterministic serial flow, so it is identical for every
-  // thread count.
-  if (options_.incremental && options_.use_blossom) {
-    if (incr_ == nullptr) incr_ = std::make_unique<IncrementalState>();
-    for (size_t bi = 0; bi < nb; ++bi) {
-      auto [it, inserted] = incr_->buckets.try_emplace(
-          bucket_keys[bi], BucketGraphState(options_.top_k));
-      it->second.last_seen_round = round_seq_;
-      (void)inserted;
-    }
-    // Buckets that stopped appearing (demand class drained) age out.
-    for (auto it = incr_->buckets.begin(); it != incr_->buckets.end();) {
-      if (round_seq_ - it->second.last_seen_round > kIncrementalMaxAge) {
-        it = incr_->buckets.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  // One unit of grouping work: a capped component of a bucket's pruned
-  // candidate graph (with top_k == 0 the whole bucket is one component,
-  // which is exactly the pre-existing dense path). Results, counters,
-  // captures, and deferred cache stores all land in slots owned by the
-  // component so the parallel phases below stay race-free; everything is
-  // folded serially in (bucket, component) order afterwards.
-  struct ComponentWork {
-    std::vector<int> local;              // bucket-local member indices
-    std::vector<JobId> ids;              // parallel to `local`
-    std::vector<ResourceVector> profs;   // parallel to `local`
-    std::vector<std::vector<int>> groups;  // component-local indices
-    GroupingCapture capture;
-    GroupingStats stats;
-    bool reused = false;
-    bool trivial = false;  // single member: direct {{0}}, no cache, no hook
-    std::unique_ptr<ComponentPairHook> hook;
-  };
-
+  // The round's only parallelism: one fan-out over the buckets, each task
+  // writing only the slots its index owns. Neither the body nor
+  // multi_round_grouping starts another parallel loop. A bucket of one
+  // job groups to {{0}} without touching stats or capture.
   std::vector<std::vector<std::vector<int>>> bucket_groups(nb);
   std::vector<GroupingStats> bucket_stats(nb);
-  std::vector<std::vector<ComponentWork>> bucket_work(nb);
-  // Per-bucket (component member list, capture) pairs for the decision
-  // log, serialized after the parallel phase in (bucket, component)
-  // order. Empty when no log is attached.
-  std::vector<std::vector<std::pair<std::vector<int>, GroupingCapture>>>
-      bucket_comp_captures(nb);
-  const bool incremental = options_.incremental && options_.use_blossom;
-  const auto state_of = [&](size_t bi) -> BucketGraphState* {
-    return incremental ? &incr_->buckets.at(bucket_keys[bi]) : nullptr;
-  };
-  // The round's only parallelism: two flat fan-outs, each body writing
-  // to slots its index owns. Neither body starts another parallel loop.
-  ThreadPool& round_pool = pool();
-
-  // 1. Per bucket: the component split, per-component inputs, and the
-  // component result cache lookup. Each bucket touches only its own
-  // incremental state.
-  const auto split_bucket = [&](std::int64_t bi_raw) {
+  // Matching rounds per bucket for the decision log; empty when no log is
+  // attached.
+  std::vector<GroupingCapture> bucket_captures(nb);
+  const auto group_bucket = [&](std::int64_t bi_raw) {
     const auto bi = static_cast<size_t>(bi_raw);
     const auto& profs = bucket_profiles[bi];
-    const auto& ids = bucket_job_ids[bi];
-    if (!options_.use_blossom) {
-      // Ablation (§6.4): pack jobs with the same GPU requirement
-      // consecutively in descending priority order.
-      auto& groups = bucket_groups[bi];
-      std::vector<int> chunk;
-      for (int i = 0; i < static_cast<int>(profs.size()); ++i) {
-        chunk.push_back(i);
-        if (static_cast<int>(chunk.size()) == options_.max_group_size) {
-          groups.push_back(chunk);
-          chunk.clear();
-        }
-      }
-      if (!chunk.empty()) groups.push_back(chunk);
+    if (options_.use_blossom) {
+      bucket_groups[bi] = multi_round_grouping(
+          profs, options_.max_group_size, &bucket_stats[bi],
+          dlog != nullptr ? &bucket_captures[bi] : nullptr);
       return;
     }
-    BucketGraphState* state = state_of(bi);
-
-    // Identical in both modes: the same mask (the maintained one is
-    // provably equal to from-scratch, see matching/incremental) through
-    // the same capped union-find. With top_k == 0 the whole bucket is one
-    // component and no mask is built.
-    std::vector<std::vector<int>> comps;
-    if (options_.top_k > 0) {
-      if (state != nullptr) {
-        IncrementalStats istats;
-        state->mask.update(ids, profs, &istats);
-        bucket_stats[bi].dirty_jobs = istats.dirty_jobs;
-        bucket_stats[bi].topk_rescans = istats.topk_rescans;
-        comps = split_components(ids, state->mask.edges(),
-                                 options_.component_cap);
-      } else {
-        const TopKMask mask =
-            TopKMask::from_scratch(ids, profs, options_.top_k);
-        comps = split_components(ids, mask.edges(), options_.component_cap);
-      }
-    } else {
-      comps.emplace_back(static_cast<size_t>(profs.size()));
-      std::iota(comps.back().begin(), comps.back().end(), 0);
-    }
-
-    std::vector<ComponentWork>& work = bucket_work[bi];
-    work.resize(comps.size());
-    for (size_t ci = 0; ci < comps.size(); ++ci) {
-      ComponentWork& w = work[ci];
-      w.local = std::move(comps[ci]);
-      if (w.local.size() == 1) {
-        // Trivial component: multi_round_grouping on one profile returns
-        // {{0}} without touching stats, capture, or the hook, so skipping
-        // the cache machinery (id/profile copies, hashing, store) changes
-        // no byte of any output — it only removes allocator traffic, which
-        // dominates the warm-round floor at 10k jobs.
-        w.trivial = true;
-        continue;
-      }
-      w.ids.reserve(w.local.size());
-      w.profs.reserve(w.local.size());
-      for (int li : w.local) {
-        w.ids.push_back(ids[static_cast<size_t>(li)]);
-        w.profs.push_back(profs[static_cast<size_t>(li)]);
-      }
-      if (state != nullptr) {
-        const auto* hit = state->component_cache.lookup(
-            w.ids, w.profs, /*need_capture=*/dlog != nullptr, round_seq_);
-        if (hit != nullptr) {
-          w.groups = hit->groups;
-          if (dlog != nullptr) w.capture = hit->capture;
-          w.reused = true;
-        }
-      }
-    }
-  };
-  round_pool.parallel_for(0, static_cast<std::int64_t>(nb), split_bucket);
-
-  // 2. Group every component that was not folded forward, across all
-  // buckets at once. The pair caches are only read here; their stores
-  // wait in each component's hook for the fold.
-  std::vector<std::pair<size_t, size_t>> items;  // (bucket, component)
-  for (size_t bi = 0; bi < nb; ++bi) {
-    for (size_t ci = 0; ci < bucket_work[bi].size(); ++ci) {
-      const ComponentWork& w = bucket_work[bi][ci];
-      if (!w.reused && !w.trivial) items.emplace_back(bi, ci);
-    }
-  }
-  const auto group_component = [&](std::int64_t item) {
-    const auto [bi, ci] = items[static_cast<size_t>(item)];
-    ComponentWork& w = bucket_work[bi][ci];
-    if (BucketGraphState* state = state_of(bi)) {
-      w.hook = std::make_unique<ComponentPairHook>(&state->pair_cache, w.ids,
-                                                   &w.profs);
-    }
-    w.groups = multi_round_grouping(w.profs, options_.max_group_size,
-                                    &w.stats,
-                                    dlog != nullptr ? &w.capture : nullptr,
-                                    w.hook.get());
-  };
-  round_pool.parallel_for(0, static_cast<std::int64_t>(items.size()),
-                          group_component);
-
-  // 3. Serial fold in (bucket, component) order: translate groups to
-  // bucket-local indices, accumulate counters, commit deferred cache
-  // stores. Deterministic regardless of how steps 1 and 2 were scheduled.
-  for (size_t bi = 0; bi < nb; ++bi) {
+    // Ablation (§6.4): pack jobs with the same GPU requirement
+    // consecutively in descending priority order.
     auto& groups = bucket_groups[bi];
-    GroupingStats& bstats = bucket_stats[bi];
-    BucketGraphState* state = state_of(bi);
-    for (ComponentWork& w : bucket_work[bi]) {
-      bstats.accumulate(w.stats);
-      ++bstats.components_total;
-      if (w.trivial) {
-        ++bstats.components_trivial;
-        groups.push_back(std::vector<int>{w.local[0]});
-        if (dlog != nullptr) {
-          bucket_comp_captures[bi].emplace_back(std::move(w.local),
-                                                GroupingCapture{});
-        }
-        continue;
-      }
-      if (w.reused) ++bstats.components_reused;
-      if (w.hook != nullptr) {
-        bstats.edges_reused += w.hook->hits();
-        bstats.edges_patched += w.hook->misses();
-      }
-      for (const auto& g : w.groups) {
-        std::vector<int> mapped;
-        mapped.reserve(g.size());
-        for (int m : g) {
-          mapped.push_back(w.local[static_cast<size_t>(m)]);
-        }
-        groups.push_back(std::move(mapped));
-      }
-      if (state != nullptr) {
-        if (w.hook != nullptr) {
-          for (const PendingPairStore& p : w.hook->pending()) {
-            state->pair_cache.store(p.a, p.pa, p.b, p.pb, p.gamma,
-                                    round_seq_);
-          }
-        }
-        if (!w.reused) {
-          ComponentResultCache::CachedComponent entry;
-          entry.ids = w.ids;
-          entry.profiles = w.profs;
-          entry.groups = w.groups;
-          entry.has_capture = dlog != nullptr;
-          if (dlog != nullptr) entry.capture = w.capture;
-          state->component_cache.store(std::move(entry), round_seq_);
-        }
-      }
-      if (dlog != nullptr) {
-        bucket_comp_captures[bi].emplace_back(std::move(w.local),
-                                              std::move(w.capture));
+    std::vector<int> chunk;
+    for (int i = 0; i < static_cast<int>(profs.size()); ++i) {
+      chunk.push_back(i);
+      if (static_cast<int>(chunk.size()) == options_.max_group_size) {
+        groups.push_back(chunk);
+        chunk.clear();
       }
     }
-    if (state != nullptr && (round_seq_ & 0xF) == 0) {
-      // Aging only evicts exact entries (an evicted one just recomputes
-      // to the same bits), so sweeping every 16th round is pure latency
-      // saving; entries live at most kIncrementalMaxAge + 15 rounds.
-      state->pair_cache.age(round_seq_, kIncrementalMaxAge);
-      state->component_cache.age(round_seq_, kIncrementalMaxAge);
-    }
-  }
+    if (!chunk.empty()) groups.push_back(chunk);
+  };
+  pool().parallel_for(0, static_cast<std::int64_t>(nb), group_bucket);
+
+  // Serial fold in bucket order, deterministic whatever the schedule of
+  // the fan-out above.
   for (const GroupingStats& s : bucket_stats) last_round_stats_.accumulate(s);
   cumulative_stats_.accumulate(last_round_stats_);
 
   // Serialize the per-bucket candidate sets and matching rounds into the
-  // decision log, translating component-local member indices to job ids
+  // decision log, translating bucket-local member indices to job ids
   // (edge/matched endpoints stay node indices into the sibling "nodes"
-  // array, per the record catalog). match_round records are emitted per
-  // capped component with a "component" ordinal; both modes run the same
-  // split, so the record stream is byte-identical between rebuild and
-  // incremental rounds.
+  // array, per the record catalog). Each bucket is grouped whole, so a
+  // bucket reports one component under Blossom (none under the packing
+  // ablation) and every match_round carries component 0.
   if (dlog != nullptr) {
     const auto job_of = [&](size_t bi, int local) {
       return candidates[static_cast<size_t>(
@@ -877,15 +604,8 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
       dlog->entry("bucket")
           .integer("gpus", bucket_keys[bi])
           .ids("jobs", jobs)
-          .integer("components", static_cast<std::int64_t>(
-                                     bucket_comp_captures[bi].size()));
-      for (size_t ci = 0; ci < bucket_comp_captures[bi].size(); ++ci) {
-        const auto& [comp_local, capture] = bucket_comp_captures[bi][ci];
-        // Component-local node index -> bucket-local -> job id.
-        const auto comp_job_of = [&](int local) {
-          return job_of(bi, comp_local[static_cast<size_t>(local)]);
-        };
-        for (const MatchingRoundRecord& mr : capture.rounds) {
+          .integer("components", options_.use_blossom ? 1 : 0);
+      for (const MatchingRoundRecord& mr : bucket_captures[bi].rounds) {
         std::string nodes_json = "[";
         for (size_t ni = 0; ni < mr.nodes.size(); ++ni) {
           if (ni != 0) nodes_json += ',';
@@ -894,7 +614,7 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
             if (mi != 0) nodes_json += ',';
             scratch.clear();
             obs::append_json_double(
-                scratch, static_cast<double>(comp_job_of(mr.nodes[ni][mi])));
+                scratch, static_cast<double>(job_of(bi, mr.nodes[ni][mi])));
             nodes_json += scratch;
           }
           nodes_json += ']';
@@ -928,14 +648,13 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
         matched_json += ']';
         dlog->entry("match_round")
             .integer("gpus", bucket_keys[bi])
-            .integer("component", static_cast<std::int64_t>(ci))
+            .integer("component", 0)
             .integer("stage", mr.stage)
             .raw("nodes", nodes_json)
             .raw("edges", edges_json)
             .raw("matched", matched_json)
             .ints("unmatched", mr.unmatched)
             .raw("fallback", mr.fallback ? "true" : "false");
-        }
       }
     }
   }

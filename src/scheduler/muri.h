@@ -31,7 +31,6 @@ class Tracer;
 
 namespace muri {
 
-class PairGammaHook;
 class ThreadPool;
 struct GroupingCapture;
 
@@ -54,36 +53,13 @@ struct MuriOptions {
   // utilize the cluster"), clamped to 192 so a deep backlog cannot make a
   // scheduling round quadratically slower.
   int candidate_cap = 0;
-  // Candidate-edge pruning: each job only offers γ edges to its top_k
-  // most *complementary* neighbors (lowest bottleneck-profile similarity,
-  // matching/incremental). 0 disables pruning — the full dense graph,
-  // today's behavior. top_k > 0 changes which edges Blossom sees, so it
-  // is a result-affecting knob and appears in name(); it is what makes
-  // 10k-job rounds tractable (Blossom runs per capped component instead
-  // of once over everything).
-  int top_k = 0;
-  // With top_k > 0, the pruned graph is split by a capacity-capped greedy
-  // union-find (edges in ascending similarity order merge clusters only
-  // while the merged size stays within the cap), bounding every Blossom
-  // invocation. Ignored when top_k == 0.
-  int component_cap = 32;
-  // Delta-based rounds: persist the per-bucket candidate graph, γ pair
-  // cache, and component results across schedule() calls, patching only
-  // what churned (matching/incremental). Pure latency knob — plans,
-  // DecisionLog, and trace bytes are bit-identical to the full rebuild
-  // at the same top_k (the incremental-equivalence CI job enforces it) —
-  // so it does NOT appear in name(). Default off.
-  bool incremental = false;
-  // Threads a scheduling round may use. A round fans out twice, one
-  // level deep each time: over GPU buckets for the component split, then
-  // over the flattened (bucket, component) list for grouping; each
-  // component's matching graph is built and matched on one thread.
-  // 0 = hardware concurrency, 1 = the plain serial path. The plan is
-  // bit-identical for every value — every work item writes only its own
-  // slot and results are folded serially in (bucket, component) order —
+  // Threads a scheduling round may use. A contended round fans out once,
+  // over its GPU buckets: each bucket's matching graph is built and
+  // matched on one thread. 0 = hardware concurrency, 1 = the plain serial
+  // path. The plan is bit-identical for every value — every bucket writes
+  // only its own slot and results are folded serially in bucket order —
   // so this is purely a latency knob. It pays when a round has several
-  // sizeable components (several GPU buckets, or top_k > 0); a round
-  // with one component runs on one thread.
+  // sizeable buckets; a one-bucket round runs on one thread.
   int num_threads = 0;
   // Observability hooks (src/obs), both optional and read-only with
   // respect to the plan: `trace` receives a per-round span on the
@@ -106,10 +82,10 @@ struct MuriOptions {
 // where the time went and how much γ work the matching graphs took.
 struct GroupingStats {
   // Wall seconds spent building matching-graph edge weights. Summed across
-  // components, so with concurrent components this can exceed the round's
-  // wall time — it measures work, not latency.
+  // buckets, so with concurrent buckets this can exceed the round's wall
+  // time — it measures work, not latency.
   double graph_build_seconds = 0;
-  // Wall seconds inside Blossom matching (summed across components).
+  // Wall seconds inside Blossom matching (summed across buckets).
   double matching_seconds = 0;
   // Wall seconds in the round's remaining phases (the live SLO plane's
   // round breakdown): the initial priority sort, and group
@@ -122,8 +98,7 @@ struct GroupingStats {
   // cache_hits counts pairs priced from the grouping call's class table
   // (an ordered pair of member-class sequences priced earlier in the same
   // call). cache_misses counts the rest (muri_sched_gamma_evals_total):
-  // pairs whose γ was evaluated, and round-0 pairs served by the
-  // incremental pair cache. Their sum is every admissible pair.
+  // pairs whose γ was evaluated. Their sum is every admissible pair.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   // Blossom invocations.
@@ -132,23 +107,6 @@ struct GroupingStats {
   // γ edges, or Blossom matched zero pairs) and fell back to emitting the
   // current nodes as final groups.
   std::int64_t matching_fallbacks = 0;
-  // Delta-round accounting (matching/incremental): how much of the round
-  // was patched vs folded forward. All zero in rebuild mode. These never
-  // appear in byte-compared outputs (plans, DecisionLog, trace) — they
-  // measure work done, which is exactly what differs between modes.
-  std::int64_t dirty_jobs = 0;        // bucket membership delta processed
-  std::int64_t topk_rescans = 0;      // candidate buffers rebuilt in full
-  std::int64_t edges_reused = 0;      // round-0 γs served from the pair cache
-  std::int64_t edges_patched = 0;     // round-0 γs recomputed (dirty edges)
-  std::int64_t components_total = 0;  // components offered to grouping
-  std::int64_t components_reused = 0; // folded forward without re-matching
-  // Single-member components: nothing to match, nothing worth caching —
-  // the grouping of one job is itself. Served by a direct fast path in
-  // both modes (byte-identical output); counted separately so
-  // components_reused keeps meaning "cache fold" and the warm-round
-  // invariant is reused + trivial == total.
-  std::int64_t components_trivial = 0;
-
   void accumulate(const GroupingStats& other) {
     graph_build_seconds += other.graph_build_seconds;
     matching_seconds += other.matching_seconds;
@@ -158,13 +116,6 @@ struct GroupingStats {
     cache_misses += other.cache_misses;
     matchings_run += other.matchings_run;
     matching_fallbacks += other.matching_fallbacks;
-    dirty_jobs += other.dirty_jobs;
-    topk_rescans += other.topk_rescans;
-    edges_reused += other.edges_reused;
-    edges_patched += other.edges_patched;
-    components_total += other.components_total;
-    components_reused += other.components_reused;
-    components_trivial += other.components_trivial;
   }
 };
 
@@ -204,12 +155,6 @@ class MuriScheduler final : public Scheduler {
 
   MuriOptions options_;
   std::unique_ptr<ThreadPool> pool_;
-  // Cross-round incremental state — the per-bucket candidate masks, γ
-  // pair caches, and component result caches (matching/incremental).
-  // Allocated lazily on the first incremental contended round; absent
-  // entirely in rebuild mode.
-  struct IncrementalState;
-  std::unique_ptr<IncrementalState> incr_;
   GroupingStats last_round_stats_;
   GroupingStats cumulative_stats_;
   // Round ids for the trace round span and the decision log; kept in
@@ -233,14 +178,8 @@ class MuriScheduler final : public Scheduler {
 // round — nodes, positive edges, merges, survivors — copied out of the
 // assembled graph after the fact; populating it never changes the result
 // (see matching/capture.h).
-// `pair_hook` (may be null) is consulted for round-0 pairwise γ values
-// (matching/incremental): lookup before pricing each pair, then store
-// with the final cell value of every admissible round-0 pair. A hook
-// whose lookups return values bit-identical to pairwise_efficiency — the
-// PairGammaCache contract — leaves the grouping bit-identical.
 std::vector<std::vector<int>> multi_round_grouping(
     const std::vector<ResourceVector>& profiles, int max_group_size,
-    GroupingStats* stats = nullptr, GroupingCapture* capture = nullptr,
-    PairGammaHook* pair_hook = nullptr);
+    GroupingStats* stats = nullptr, GroupingCapture* capture = nullptr);
 
 }  // namespace muri

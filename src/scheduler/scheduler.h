@@ -51,11 +51,9 @@ struct SchedulerContext {
   int available_gpus = -1;
   // Jobs whose lifecycle changed since the previous round (arrived,
   // finished, preempted, evicted, faulted), sorted ascending and
-  // deduplicated — the simulator's dirty set. Null means "unknown";
-  // schedulers must treat it as advisory observability input only (the
-  // incremental Muri path derives its own exact delta from membership
-  // and profile bits, so a stale or absent set can never corrupt a
-  // plan). Logged as round_start's "dirty" field when present.
+  // deduplicated — the simulator's dirty set. Null means "unknown".
+  // No scheduler reads it to decide anything; it only feeds round_start's
+  // "dirty" field in the decision log when present.
   const std::vector<JobId>* dirty_jobs = nullptr;
 
   // The GPU capacity a scheduler may plan against this round.

@@ -31,9 +31,13 @@ BASE = {jobs: jobs * 1e-4 for jobs in range(20, 220, 20)}
 
 class DiffBenchTest(unittest.TestCase):
     def run_gate(self, base, cur, *flags):
+        """Runs the gate on `base` and one current sweep, or a list of them."""
+        currents = cur if isinstance(cur, list) else [cur]
         with tempfile.TemporaryDirectory() as tmp:
             paths = []
-            for name, doc in (("base.json", base), ("cur.json", cur)):
+            docs = [("base.json", base)] + [
+                (f"cur{i}.json", doc) for i, doc in enumerate(currents)]
+            for name, doc in docs:
                 path = os.path.join(tmp, name)
                 with open(path, "w") as f:
                     json.dump(doc, f)
@@ -83,6 +87,63 @@ class DiffBenchTest(unittest.TestCase):
         code, out = self.run_gate(sweep(BASE, reference=None), sweep(BASE))
         self.assertEqual(code, 0, out)
         self.assertIn("median ratio", out)
+
+    def test_point_regressed_in_every_sweep_fails(self):
+        sweeps = []
+        for slowdown in (1.5, 1.45, 1.6):
+            cur = dict(BASE)
+            cur[100] *= slowdown
+            sweeps.append(sweep(cur))
+        code, out = self.run_gate(sweep(BASE), sweeps, "--strict")
+        self.assertEqual(code, 1, out)
+        self.assertEqual(out.count("REGRESSION"), 1, out)
+        self.assertIn("jobs=100", out)
+
+    def test_spike_in_one_of_three_sweeps_passes(self):
+        spiked = dict(BASE)
+        spiked[100] *= 1.5
+        code, out = self.run_gate(
+            sweep(BASE), [sweep(BASE), sweep(spiked), sweep(BASE)], "--strict")
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("REGRESSION", out)
+        # The same spike as the only sweep fails: one file is as strict as
+        # it ever was.
+        code, out = self.run_gate(sweep(BASE), sweep(spiked), "--strict")
+        self.assertEqual(code, 1, out)
+
+    def test_each_sweep_is_normalized_by_its_own_reference(self):
+        # Three sweeps on hosts 1x, 1.8x and 1.4x slower, each recording
+        # its own reference time: nothing regressed.
+        sweeps = [sweep({jobs: secs * f for jobs, secs in BASE.items()},
+                        reference=0.05 * f) for f in (1.0, 1.8, 1.4)]
+        code, out = self.run_gate(sweep(BASE), sweeps, "--strict")
+        self.assertEqual(code, 0, out)
+        self.assertIn("machine factor 1.000, 1.800, 1.400", out)
+
+    def test_one_current_file_prints_the_single_sweep_report(self):
+        # The full report of a one-file run, byte for byte as the
+        # single-sweep gate printed it before it took several files.
+        cur = dict(BASE)
+        cur[100] *= 1.5
+        cur[40] *= 1.1
+        code, out = self.run_gate(sweep(BASE), sweep(cur, reference=0.055),
+                                  "--strict")
+        self.assertEqual(code, 1, out)
+        rows = [(20, 2.0, 0.91), (40, 4.4, 1.00), (60, 6.0, 0.91),
+                (80, 8.0, 0.91), (100, 15.0, 1.36), (120, 12.0, 0.91),
+                (140, 14.0, 0.91), (160, 16.0, 0.91), (180, 18.0, 0.91),
+                (200, 20.0, 0.91)]
+        want = ("diff_bench: 10 shared points, machine factor 1.100 from the "
+                "reference kernel, limit 1.20x after normalization\n")
+        for jobs, ms, norm in rows:
+            want += (f"  bucket1   jobs={jobs:<4} threads=1  "
+                     f"{jobs * 0.1:8.3f} ms -> {ms:8.3f} ms  "
+                     f"({norm:.2f}x normalized)")
+            want += "  REGRESSION\n" if jobs == 100 else "\n"
+        stdout, stderr = out[:len(want)], out[len(want):]
+        self.assertEqual(stdout, want)
+        self.assertIn("diff_bench: 1 point(s) regressed more than 20% over "
+                      "baseline", stderr)
 
 
 if __name__ == "__main__":

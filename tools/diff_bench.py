@@ -21,8 +21,17 @@ Sub-millisecond sweep points jitter by tens of percent run to run, so a
 ratio alone would cry wolf; a point regresses only when it exceeds the
 threshold AND slows down by at least --min-delta-ms in absolute terms.
 
+A single sweep still spikes: a point's round time can swing by a third
+between back-to-back runs on one host. So the gate takes several current
+sweep files, normalizes each by its own reference time, and gates each
+point on the median over those files of its normalized ratio and of its
+absolute slowdown. A point slow in one sweep of three passes; a point
+slow in most of them fails. Given one current file, the median is that
+file's value and the gate is exactly the single-sweep gate.
+
     diff_bench.py [--threshold=0.20] [--min-delta-ms=0.25] \
-        [--key=round_seconds] [--strict] baseline.json current.json
+        [--key=round_seconds] [--strict] baseline.json current.json \
+        [current2.json ...]
 
 Exit status: 0 clean, 1 regression / missing or unreadable baseline /
 malformed input, 2 when the two files share no sweep points (wrong
@@ -76,7 +85,9 @@ def load_points(path, key, strict=False):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline")
-    parser.add_argument("current")
+    parser.add_argument("current", nargs="+",
+                        help="one or more sweep files of the same tree; each "
+                             "point gates on its median over them")
     parser.add_argument("--threshold", type=float, default=0.20,
                         help="allowed normalized slowdown (default 0.20)")
     parser.add_argument("--min-delta-ms", type=float, default=0.25,
@@ -99,40 +110,55 @@ def main():
     except (ValueError, KeyError) as e:
         print(f"diff_bench: malformed baseline: {e}", file=sys.stderr)
         return 1
-    try:
-        cur, cur_ref = load_points(args.current, args.key, args.strict)
-    except (OSError, ValueError, KeyError) as e:
-        print(f"diff_bench: cannot read current sweep: {e}", file=sys.stderr)
-        return 1
+    sweeps = []
+    for path in args.current:
+        try:
+            sweeps.append(load_points(path, args.key, args.strict))
+        except (OSError, ValueError, KeyError) as e:
+            print(f"diff_bench: cannot read current sweep: {e}",
+                  file=sys.stderr)
+            return 1
 
-    shared = sorted(set(base) & set(cur))
-    if not shared:
+    current = set().union(*(cur for cur, _ in sweeps))
+    shared = sorted(set(base) & current)
+    if not shared or any(not set(base) & set(cur) for cur, _ in sweeps):
         print("diff_bench: baseline and current share no sweep points "
               "(stale baseline?)", file=sys.stderr)
         return 2
-    for ident in sorted(set(base) ^ set(cur)):
+    for ident in sorted(set(base) ^ current):
         side = "baseline" if ident in base else "current"
         print(f"diff_bench: note: {ident} only in {side}; skipped")
 
-    ratios = {ident: cur[ident] / base[ident] for ident in shared}
-    if base_ref is not None and cur_ref is not None:
-        machine_factor = cur_ref / base_ref
-        source = "reference kernel"
-    else:
-        machine_factor = statistics.median(ratios.values())
-        source = "median ratio (a file lacks reference_seconds)"
+    # One machine factor per current sweep: its reference time over the
+    # baseline's, or its own median ratio when a file lacks the reference.
+    factors = []
+    use_reference = base_ref is not None and all(
+        ref is not None for _, ref in sweeps)
+    for cur, cur_ref in sweeps:
+        if use_reference:
+            factors.append(cur_ref / base_ref)
+        else:
+            factors.append(statistics.median(
+                cur[ident] / base[ident] for ident in shared if ident in cur))
+    source = ("reference kernel" if use_reference else
+              "median ratio (a file lacks reference_seconds)")
     limit = 1.0 + args.threshold
 
     regressed = []
     print(f"diff_bench: {len(shared)} shared points, machine factor "
-          f"{machine_factor:.3f} from the {source}, limit {limit:.2f}x "
-          f"after normalization")
+          f"{', '.join(f'{f:.3f}' for f in factors)} from the {source}, "
+          f"limit {limit:.2f}x after normalization")
     for ident in shared:
-        normalized = ratios[ident] / machine_factor
-        delta_ms = (cur[ident] - base[ident] * machine_factor) * 1e3
+        runs = [(cur[ident], factor)
+                for (cur, _), factor in zip(sweeps, factors) if ident in cur]
+        seconds = statistics.median(secs for secs, _ in runs)
+        normalized = statistics.median(
+            secs / base[ident] / factor for secs, factor in runs)
+        delta_ms = statistics.median(
+            (secs - base[ident] * factor) * 1e3 for secs, factor in runs)
         config, jobs, threads = ident
         line = (f"  {config:<9} jobs={jobs:<4} threads={threads}  "
-                f"{base[ident] * 1e3:8.3f} ms -> {cur[ident] * 1e3:8.3f} ms  "
+                f"{base[ident] * 1e3:8.3f} ms -> {seconds * 1e3:8.3f} ms  "
                 f"({normalized:.2f}x normalized)")
         if normalized > limit and delta_ms >= args.min_delta_ms:
             regressed.append(ident)
