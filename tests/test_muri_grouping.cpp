@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <set>
 
 #include "common/rng.h"
@@ -297,6 +299,63 @@ TEST(MultiRoundGrouping, CapturedEdgeGammasMatchDirectEvaluationBitForBit) {
     }
   }
   EXPECT_GT(edges_checked, 10000);
+}
+
+// Pins the groups multi_round_grouping(..., 4) returns on one thread, so
+// stage-1 tie-breaking (Blossom over 2-job nodes with 4-job γ edges) is
+// covered as well as stage 0. Model-zoo queues of several sizes with 1-GPU
+// and 4-GPU profiles (8 classes, many exact ties), plus one all-distinct
+// jittered queue. The digest folds every group in order; a change to it is
+// a behaviour change.
+TEST(MultiRoundGrouping, GroupDigestIsPinnedOnZooQueues) {
+  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a 64
+  const auto fold = [&](std::int64_t x) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= static_cast<std::uint64_t>(x >> (8 * byte)) & 0xffu;
+      digest *= 1099511628211ull;
+    }
+  };
+  std::vector<std::vector<ResourceVector>> queues;
+  const int sizes[] = {192, 140, 96, 48, 17};
+  for (int si = 0; si < static_cast<int>(std::size(sizes)); ++si) {
+    for (int gpus : {1, 4}) {
+      Rng rng(static_cast<std::uint64_t>(si) * 100 +
+              static_cast<std::uint64_t>(gpus));
+      std::vector<ResourceVector> profiles;
+      for (int i = 0; i < sizes[si]; ++i) {
+        profiles.push_back(
+            model_profile(kAllModels[static_cast<size_t>(
+                              rng.uniform_int(0, kNumModels - 1))],
+                          gpus)
+                .stage_time);
+      }
+      queues.push_back(std::move(profiles));
+    }
+  }
+  Rng jitter(7);
+  std::vector<ResourceVector> distinct = zoo_profiles(96, 7);
+  for (ResourceVector& p : distinct) {
+    for (double& t : p) {
+      if (t > 0) t *= jitter.uniform(0.9, 1.1);
+    }
+  }
+  queues.push_back(std::move(distinct));
+
+  std::int64_t grouped = 0;
+  for (const auto& profiles : queues) {
+    const auto groups = multi_round_grouping(profiles, 4);
+    fold(static_cast<std::int64_t>(profiles.size()));
+    fold(static_cast<std::int64_t>(groups.size()));
+    for (const auto& g : groups) {
+      fold(static_cast<std::int64_t>(g.size()));
+      for (int idx : g) fold(idx);
+      if (g.size() > 2) grouped += static_cast<std::int64_t>(g.size());
+    }
+  }
+  EXPECT_EQ(queues.size(), 11u);
+  // Stage 1 merged pairs into groups of three or four somewhere.
+  EXPECT_GT(grouped, 0);
+  EXPECT_EQ(digest, 0x4562ddead7f0d81full);
 }
 
 TEST(MuriPlan, InterleavedGroupsCarryFullSchedules) {
