@@ -27,8 +27,13 @@ void BlossomMatcher::reset(int n) {
     s_.resize(stride);
     vis_.resize(stride);
     best_.resize(stride);
+    slack_d_.resize(stride);
     flower_.resize(stride);
   }
+  const auto real = static_cast<size_t>(n + 1);
+  if (weights_.size() < real * real) weights_.resize(real * real);
+  std::fill(weights_.begin(),
+            weights_.begin() + static_cast<std::ptrdiff_t>(real * real), 0);
   if (flower_from_storage_.size() < stride * static_cast<size_t>(n + 1)) {
     flower_from_storage_.resize(stride * static_cast<size_t>(n + 1));
   }
@@ -48,21 +53,26 @@ void BlossomMatcher::set_weight(int u, int v, std::int64_t w) {
   assert(w >= 0);
   g_(u + 1, v + 1).w = w;
   g_(v + 1, u + 1).w = w;
+  w_(u + 1, v + 1) = w;
+  w_(v + 1, u + 1) = w;
 }
 
-void BlossomMatcher::update_slack(int u, int x) {
-  if (slack_[static_cast<size_t>(x)] == 0 ||
-      edge_delta(g_(u, x)) < edge_delta(g_(slack_[static_cast<size_t>(x)], x))) {
+// `delta` is edge_delta(g_(u, x)).
+void BlossomMatcher::update_slack(int u, int x, std::int64_t delta) {
+  if (slack_[static_cast<size_t>(x)] == 0 || delta < slack_delta(x)) {
     slack_[static_cast<size_t>(x)] = u;
+    slack_d_[static_cast<size_t>(x)] = delta;
   }
 }
 
 void BlossomMatcher::set_slack(int x) {
   slack_[static_cast<size_t>(x)] = 0;
+  // Row x: g_(x, u) has the endpoints, weight and slack of g_(u, x).
+  const Edge* row = &g_(x, 0);
   for (int u = 1; u <= n_; ++u) {
-    if (g_(u, x).w > 0 && st_[static_cast<size_t>(u)] != x &&
+    if (row[u].w > 0 && st_[static_cast<size_t>(u)] != x &&
         s_[static_cast<size_t>(st_[static_cast<size_t>(u)])] == 0) {
-      update_slack(u, x);
+      update_slack(u, x, edge_delta(row[u]));
     }
   }
 }
@@ -79,6 +89,14 @@ void BlossomMatcher::set_state(int x, int b) {
   st_[static_cast<size_t>(x)] = b;
   if (x > n_) {
     for (int sub : flower_[static_cast<size_t>(x)]) set_state(sub, b);
+  }
+}
+
+void BlossomMatcher::set_flower_from(int b, int x, int member) {
+  if (x <= n_) {
+    flower_from_(b, x) = member;
+  } else {
+    for (int sub : flower_[static_cast<size_t>(x)]) set_flower_from(b, sub, member);
   }
 }
 
@@ -178,11 +196,7 @@ void BlossomMatcher::add_blossom(int u, int lca, int v) {
     g_(x, b) = g_(x, best_[static_cast<size_t>(x)]);
   }
   for (int x = 1; x <= n_; ++x) flower_from_(b, x) = 0;
-  for (int xs : fl) {
-    for (int x = 1; x <= n_; ++x) {
-      if (flower_from_(xs, x) != 0) flower_from_(b, x) = xs;
-    }
-  }
+  for (int xs : fl) set_flower_from(b, xs, xs);
   set_slack(b);
 }
 
@@ -252,14 +266,27 @@ bool BlossomMatcher::matching_round() {
     while (queue_head_ < queue_.size()) {
       const int u = queue_[queue_head_++];
       if (s_[static_cast<size_t>(st_[static_cast<size_t>(u)])] == 1) continue;
-      for (int v = 1; v <= n_; ++v) {
-        if (g_(u, v).w > 0 &&
-            st_[static_cast<size_t>(u)] != st_[static_cast<size_t>(v)]) {
-          if (edge_delta(g_(u, v)) == 0) {
+      // Locals, so the slack stores below need not reload them; of
+      // these only st_[u] can change, in on_found_edge. A tight edge
+      // into a T-node would be a no-op there.
+      const std::int64_t* w_row = &w_(u, 0);
+      const std::int64_t* lab = lab_.data();
+      const int* st = st_.data();
+      const std::int64_t lab_u = lab[u];
+      const int n = n_;
+      int st_u = st[u];
+      for (int v = 1; v <= n; ++v) {
+        const std::int64_t w = w_row[v];
+        const int x = st[v];
+        if (w == 0 || x == st_u) continue;
+        const std::int64_t delta = lab_u + lab[v] - w * 2;
+        if (delta == 0) {
+          if (s_[static_cast<size_t>(x)] != 1) {
             if (on_found_edge(g_(u, v))) return true;
-          } else {
-            update_slack(u, st_[static_cast<size_t>(v)]);
+            st_u = st[u];
           }
+        } else {
+          update_slack(u, x, x == v ? delta : edge_delta(g_(u, x)));
         }
       }
     }
@@ -274,9 +301,9 @@ bool BlossomMatcher::matching_round() {
     for (int x = 1; x <= n_x_; ++x) {
       if (st_[static_cast<size_t>(x)] == x && slack_[static_cast<size_t>(x)] != 0) {
         if (s_[static_cast<size_t>(x)] == -1) {
-          d = std::min(d, edge_delta(g_(slack_[static_cast<size_t>(x)], x)));
+          d = std::min(d, slack_delta(x));
         } else if (s_[static_cast<size_t>(x)] == 0) {
-          d = std::min(d, edge_delta(g_(slack_[static_cast<size_t>(x)], x)) / 2);
+          d = std::min(d, slack_delta(x) / 2);
         }
       }
     }
@@ -298,13 +325,24 @@ bool BlossomMatcher::matching_round() {
         }
       }
     }
+    for (int x = 1; x <= n_x_; ++x) {
+      if (st_[static_cast<size_t>(x)] == x && slack_[static_cast<size_t>(x)] != 0) {
+        if (s_[static_cast<size_t>(x)] == -1) {
+          slack_d_[static_cast<size_t>(x)] -= d;
+        } else if (s_[static_cast<size_t>(x)] == 0) {
+          slack_d_[static_cast<size_t>(x)] -= d * 2;
+        }
+      }
+    }
 
     queue_.clear();
     queue_head_ = 0;
+    // A tight edge into a T-node would be a no-op in on_found_edge.
     for (int x = 1; x <= n_x_; ++x) {
       if (st_[static_cast<size_t>(x)] == x && slack_[static_cast<size_t>(x)] != 0 &&
+          s_[static_cast<size_t>(x)] != 1 &&
           st_[static_cast<size_t>(slack_[static_cast<size_t>(x)])] != x &&
-          edge_delta(g_(slack_[static_cast<size_t>(x)], x)) == 0) {
+          slack_delta(x) == 0) {
         if (on_found_edge(g_(slack_[static_cast<size_t>(x)], x))) return true;
       }
     }
@@ -328,7 +366,7 @@ std::vector<int> BlossomMatcher::solve(std::int64_t& total_weight) {
   for (int u = 1; u <= n_; ++u) {
     for (int v = 1; v <= n_; ++v) {
       flower_from_(u, v) = (u == v ? u : 0);
-      w_max = std::max(w_max, g_(u, v).w);
+      w_max = std::max(w_max, w_(u, v));
     }
   }
   for (int u = 1; u <= n_; ++u) lab_[static_cast<size_t>(u)] = w_max;
@@ -342,7 +380,7 @@ std::vector<int> BlossomMatcher::solve(std::int64_t& total_weight) {
     const int m = match_[static_cast<size_t>(u)];
     if (m != 0) {
       mate[static_cast<size_t>(u - 1)] = m - 1;
-      if (m < u) total_weight += g_(u, m).w;
+      if (m < u) total_weight += w_(u, m);
     }
   }
   return mate;

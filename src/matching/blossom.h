@@ -12,6 +12,7 @@
 // returned matching weight is recomputed from the original doubles.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -45,8 +46,9 @@ class BlossomMatcher {
   // Prepares the matcher for a graph of n nodes with no edges; call it
   // before set_weight and solve. Buffers only grow, so a matcher reused
   // across calls allocates nothing once it has seen its largest graph.
-  // Only the real-node block of the edge matrix is rewritten: add_blossom
-  // writes a blossom's row and column before the search reads them.
+  // Only the real-node blocks (weights, edge records) are rewritten:
+  // add_blossom writes a blossom's row and column before the search reads
+  // them.
   void reset(int n);
 
   // Sets the (symmetric) integer weight of edge (u, v); u, v 0-indexed.
@@ -71,6 +73,10 @@ class BlossomMatcher {
            e.w * 2;
   }
 
+  // Weight of the real edge (u, v), 1-indexed; 0 means no edge.
+  std::int64_t& w_(int u, int v) {
+    return weights_[static_cast<size_t>(u) * (n_ + 1) + v];
+  }
   Edge& g_(int u, int v) { return edges_[static_cast<size_t>(u) * stride_ + v]; }
   const Edge& g_(int u, int v) const {
     return edges_[static_cast<size_t>(u) * stride_ + v];
@@ -79,10 +85,21 @@ class BlossomMatcher {
     return flower_from_storage_[static_cast<size_t>(b) * (n_ + 1) + x];
   }
 
-  void update_slack(int u, int x);
+  // slack_d_[x], checked against the slack edge in debug builds wherever
+  // the cache must be exact (x free or an S-node).
+  std::int64_t slack_delta(int x) const {
+    assert(s_[static_cast<size_t>(x)] == 1 ||
+           slack_d_[static_cast<size_t>(x)] ==
+               edge_delta(g_(slack_[static_cast<size_t>(x)], x)));
+    return slack_d_[static_cast<size_t>(x)];
+  }
+
+  void update_slack(int u, int x, std::int64_t delta);
   void set_slack(int x);
   void push_queue(int x);
   void set_state(int x, int b);
+  // flower_from_(b, y) = member for every real node y inside x.
+  void set_flower_from(int b, int x, int member);
   int blossom_rotation(int b, int xr);
   void set_match(int u, int v);
   void augment(int u, int v);
@@ -96,8 +113,17 @@ class BlossomMatcher {
   int n_x_ = 0;     // nodes including active blossoms
   int stride_ = 0;  // 2n + 1
   std::vector<Edge> edges_;
+  // Real-node weights, stride n + 1: the S-vertex scan reads these instead
+  // of the 16-byte edge records. Real-real edge records stay canonical
+  // (Edge{u, v, w}); add_blossom only writes rows and columns above n.
+  std::vector<std::int64_t> weights_;
   std::vector<std::int64_t> lab_;  // dual variables
   std::vector<int> match_, slack_, st_, pa_, s_, vis_;
+  // slack_d_[x] == edge_delta(g_(slack_[x], x)) for every top-level x that
+  // is free or an S-node with slack_[x] != 0. A slack source is an
+  // S-vertex, so a dual step of d shifts it by -d for a free x and by -2d
+  // for an S x. T-nodes are not kept exact: their slack is never acted on.
+  std::vector<std::int64_t> slack_d_;
   std::vector<int> best_;  // add_blossom: flower member chosen per column
   std::vector<int> flower_from_storage_;
   std::vector<std::vector<int>> flower_;

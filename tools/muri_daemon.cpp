@@ -6,8 +6,8 @@
 //
 // The job API rides the metrics listener:
 //
-//   curl -X POST -d '{"model":"resnet18","gpus":2,"iterations":1000}' \
-//       http://127.0.0.1:8080/jobs
+//   job='{"model":"resnet18","gpus":2,"iterations":1000}'
+//   curl -X POST -d "$job" http://127.0.0.1:8080/jobs
 //   curl http://127.0.0.1:8080/jobs/0
 //   curl -X DELETE http://127.0.0.1:8080/jobs/0
 //   curl http://127.0.0.1:8080/jobs http://127.0.0.1:8080/metrics
