@@ -5,7 +5,8 @@
 // graceful-stop queue draining, and WAL resume (both after a clean stop
 // and from a crash-image copy of a live WAL). The jobs report, rendered
 // from the jobtrace fold, is checked against the same daemon-produced log
-// and across a crash and resume.
+// and across a crash and resume, and every live /jobs/<id>/timeline must
+// equal the fold of the daemon's decision stream.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -843,6 +844,93 @@ TEST(ServiceDaemon, JobTraceOffIsBitIdenticalAndTimeline404s) {
   EXPECT_FALSE(stats.at("wait_buckets").at("enabled").boolean);
   traced.stop();
   bare.stop();
+}
+
+// Compares every job's GET /jobs/<id>/timeline with timeline_json of the
+// jobtrace fold over the daemon's own decision stream; only the accept
+// instant (no record carries it) is copied from the live side. Returns
+// the number of timelines compared.
+int expect_live_timelines_equal_the_fold(const MuriDaemon& daemon,
+                                         JobId max_id) {
+  obs::JobTraceLog fold;
+  std::vector<obs::DecisionRecord> records;
+  std::string error;
+  EXPECT_TRUE(obs::parse_decision_log(daemon.decisions_jsonl(), records,
+                                      &error))
+      << error;
+  obs::build_job_traces(records, fold);
+  int compared = 0;
+  for (JobId id = 0; id < max_id; ++id) {
+    const auto resp = get(daemon, "/jobs/" + std::to_string(id) + "/timeline");
+    obs::JobTimeline folded;
+    const bool in_fold = fold.timeline(id, folded);
+    if (resp.status == 404) {
+      EXPECT_FALSE(in_fold) << "job " << id << " folds but is not live";
+      continue;
+    }
+    EXPECT_EQ(resp.status, 200) << resp.body;
+    EXPECT_TRUE(in_fold) << "job " << id << " is live but does not fold";
+    if (resp.status != 200 || !in_fold) continue;
+    const std::string key = ",\"timeline\":";
+    const auto at = resp.body.find(key);
+    EXPECT_NE(at, std::string::npos) << resp.body;
+    if (at == std::string::npos) continue;
+    const std::string live =
+        resp.body.substr(at + key.size(),
+                         resp.body.size() - (at + key.size()) - 2);
+    const obs::JsonValue accept = parse(live).at("accept");
+    folded.accept = accept.is_number() ? accept.number : -1;
+    EXPECT_EQ(live, obs::timeline_json(folded)) << "job " << id;
+    ++compared;
+  }
+  return compared;
+}
+
+TEST(ServiceDaemon, LiveTimelinesEqualTheFoldOfTheLog) {
+  const std::string wal = temp_path("timelines_live.wal");
+  const std::string image = temp_path("timelines_image.wal");
+  std::remove(wal.c_str());
+  const char* models[] = {"resnet18", "vgg19", "bert", "gpt2",
+                          "shufflenet", "dqn"};
+  const int gpus[] = {1, 2, 4};
+  JobId next = 0;
+  {
+    DaemonOptions options = manual_options();
+    options.wal_path = wal;
+    options.fsync = recovery::DurableSinkOptions::Fsync::kEveryRecord;
+    MuriDaemon daemon(std::move(options));
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    // A contended mix of 1-, 2- and 4-GPU jobs arriving over time, so
+    // rounds wait, group, preempt and finish jobs.
+    for (int i = 0; i < 12; ++i) {
+      next = submit(daemon, models[i % 6], gpus[i % 3], 2000 + 1500 * i) + 1;
+      daemon.step(i % 4 == 0 ? 120 : 0);
+    }
+    const JobId cancelled = next - 2;
+    for (int i = 0; i < 20; ++i) daemon.step(60);
+    EXPECT_EQ(del(daemon, "/jobs/" + std::to_string(cancelled)).status, 200);
+    for (int i = 0; i < 90; ++i) daemon.step(60);
+    EXPECT_EQ(expect_live_timelines_equal_the_fold(daemon, next), 12);
+    const auto t = parse(
+        get(daemon, "/jobs/" + std::to_string(cancelled) + "/timeline").body);
+    EXPECT_TRUE(t.at("timeline").at("cancelled").boolean);
+    spit(image, slurp(wal));  // crash image: no daemon_stop
+    daemon.stop();
+  }
+
+  // The resumed daemon's log starts at daemon_start: restored jobs
+  // re-open there, and one new job joins them.
+  DaemonOptions options = manual_options();
+  options.wal_path = image;
+  options.resume = true;
+  MuriDaemon daemon(std::move(options));
+  std::string error;
+  ASSERT_TRUE(daemon.start(&error)) << error;
+  next = submit(daemon, "vgg16", 2, 3000) + 1;
+  for (int i = 0; i < 30; ++i) daemon.step(60);
+  EXPECT_EQ(expect_live_timelines_equal_the_fold(daemon, next), 6);
+  daemon.stop();
 }
 
 TEST(ServiceDaemon, EveryJsonEndpointDeclaresItsContentType) {
