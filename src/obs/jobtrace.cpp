@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 
 #include "common/stats.h"
 #include "obs/metrics.h"
@@ -51,15 +52,16 @@ double num_field(const JsonValue& v, const char* key, double fallback) {
   return f.is_number() ? f.number : fallback;
 }
 
-std::int64_t int_field(const JsonValue& v, const char* key,
-                       std::int64_t fallback) {
-  const JsonValue& f = v.at(key);
-  return f.is_number() ? static_cast<std::int64_t>(f.number) : fallback;
-}
-
 std::string str_field(const JsonValue& v, const char* key) {
   const JsonValue& f = v.at(key);
   return f.is_string() ? f.string : std::string();
+}
+
+// A job id: a non-negative integer (exact in a double); -1 otherwise.
+std::int64_t job_id(const JsonValue& v) {
+  const bool ok = v.is_number() && v.number >= 0 && v.number <= 9.0e15 &&
+                  v.number == std::floor(v.number);
+  return ok ? static_cast<std::int64_t>(v.number) : -1;
 }
 
 bool id_array_field(const JsonValue& v, const char* key,
@@ -69,8 +71,8 @@ bool id_array_field(const JsonValue& v, const char* key,
   out.clear();
   out.reserve(f.array.size());
   for (const JsonValue& e : f.array) {
-    if (!e.is_number()) return false;
-    out.push_back(static_cast<std::int64_t>(e.number));
+    out.push_back(job_id(e));
+    if (out.back() < 0) return false;
   }
   return true;
 }
@@ -125,10 +127,9 @@ void JobTraceLog::close_open(State& s, double t) {
   RawSpan& b = s.spans.back();
   b.end = t;
   b.open = false;
-  // Zero-length spans are transition noise (several events at one
-  // instant); dropping them is what makes the offline fold — whose
-  // record order differs slightly within an instant — converge to the
-  // exact live spans.
+  // Zero-length spans are transition noise: several records at one
+  // instant (an arrival judged by a round at the same t, a displacement
+  // followed by a re-placement) open and close a state that took no time.
   if (b.end <= b.start) s.spans.pop_back();
 }
 
@@ -486,96 +487,119 @@ std::string validate_timeline(const JobTimeline& t) {
   return "";
 }
 
-// -- Offline fold -----------------------------------------------------
+// -- The fold step -----------------------------------------------------
+
+namespace {
+
+// The record types fold() reads. fold() and on_record() both gate on this
+// one list, so the live and offline folds see the same records.
+bool folded_type(std::string_view type) {
+  static constexpr std::string_view kFolded[] = {
+      "sim_start", "daemon_start", "arrival", "job_submit", "job_restore",
+      "group", "wait", "placement", "degraded_continue", "straggler",
+      "restart", "preempt", "evict", "fault", "finish", "job_cancel"};
+  return std::find(std::begin(kFolded), std::end(kFolded), type) !=
+         std::end(kFolded);
+}
+
+}  // namespace
+
+void JobTraceLog::fold(const JsonValue& v) {
+  if (!v.is_object()) return;
+  const std::string type = str_field(v, "type");
+  if (!folded_type(type)) return;
+  const auto round = static_cast<std::int64_t>(num_field(v, "round", 0));
+  const double t = num_field(v, "t", 0);
+  // Only a submit makes a job known, and -1 is never submitted: every
+  // other event on a record without a valid id falls on an unknown job.
+  const std::int64_t job = job_id(v.at("job"));
+  std::vector<std::int64_t> ids;
+
+  if (type == "sim_start") {
+    clear();
+    restart_penalty_ = num_field(v, "restart_penalty", 0);
+  } else if (type == "daemon_start") {
+    // No clear: a resumed WAL continues the same system; restored jobs
+    // re-open via job_restore below.
+    restart_penalty_ = num_field(v, "restart_penalty", 0);
+  } else if (type == "arrival" || type == "job_submit") {
+    if (job >= 0) submitted(job, t);
+  } else if (type == "job_restore") {
+    if (job >= 0) submitted(job, t, /*restored=*/true);
+  } else if (type == "group") {
+    if (id_array_field(v, "jobs", ids)) {
+      if (round != gamma_round_) {
+        gamma_round_ = round;
+        round_gammas_.clear();
+      }
+      std::sort(ids.begin(), ids.end());
+      round_gammas_[std::move(ids)] = num_field(v, "gamma", 1.0);
+    }
+  } else if (type == "wait") {
+    const JsonValue& buckets = v.at("bucket");
+    if (id_array_field(v, "job", ids) && buckets.is_array() &&
+        buckets.array.size() == ids.size()) {
+      for (size_t i = 0; i < ids.size(); ++i) {
+        SpanKind kind;
+        if (buckets.array[i].is_string() &&
+            span_kind_from_name(buckets.array[i].string, kind)) {
+          wait_verdict(ids[i], t, round, kind);
+        }
+      }
+    }
+  } else if (type == "placement") {
+    if (id_array_field(v, "jobs", ids)) {
+      std::vector<std::int64_t> key = ids;
+      std::sort(key.begin(), key.end());
+      double gamma = 1.0;
+      if (round == gamma_round_) {
+        const auto it = round_gammas_.find(key);
+        if (it != round_gammas_.end()) gamma = it->second;
+      }
+      const std::string mode = str_field(v, "mode");
+      for (const std::int64_t id : ids) {
+        placed(id, t, round, ids, gamma, mode);
+      }
+    }
+  } else if (type == "degraded_continue") {
+    if (id_array_field(v, "jobs", ids)) {
+      const double gamma = num_field(v, "gamma", 1.0);
+      const std::string mode = str_field(v, "mode");
+      for (const std::int64_t id : ids) {
+        degraded_continue(id, t, round, ids, gamma, mode);
+      }
+    }
+  } else if (type == "straggler") {
+    straggler(job, t, num_field(v, "factor", 1.0));
+  } else if (type == "restart") {
+    restarted(job);
+  } else if (type == "preempt") {
+    preempted(job, t, round);
+  } else if (type == "evict") {
+    evicted(job, t, round);
+  } else if (type == "fault") {
+    faulted(job, t, round);
+  } else if (type == "finish") {
+    finished(job, t, num_field(v, "jct", -1));
+  } else if (type == "job_cancel") {
+    cancelled(job, t);
+  }
+}
+
+void JobTraceLog::on_record(std::string_view line) {
+  // DecisionLog::entry() opens every line with {"type":"<type>", so a
+  // record the fold does not read is skipped unparsed.
+  constexpr std::string_view kHead = "{\"type\":\"";
+  if (line.substr(0, kHead.size()) != kHead) return;
+  const std::string_view rest = line.substr(kHead.size());
+  if (!folded_type(rest.substr(0, rest.find('"')))) return;
+  JsonValue v;
+  if (parse_json(line, v)) fold(v);
+}
 
 void build_job_traces(const std::vector<DecisionRecord>& records,
                       JobTraceLog& out) {
-  // Scheduler-side group records of the current round, for the predicted
-  // γ a placement realizes. Keyed by sorted members; reset per round.
-  std::map<std::vector<std::int64_t>, double> round_gammas;
-  std::int64_t gamma_round = -1;
-  std::vector<std::int64_t> ids;
-
-  for (const DecisionRecord& rec : records) {
-    const JsonValue& v = rec.value;
-    if (!v.is_object()) continue;
-    const std::string type = str_field(v, "type");
-    if (type.empty()) continue;
-    const std::int64_t round = int_field(v, "round", 0);
-    const double t = num_field(v, "t", 0);
-
-    if (type == "sim_start") {
-      out.clear();
-      out.set_restart_penalty(num_field(v, "restart_penalty", 0));
-    } else if (type == "daemon_start") {
-      // No clear: a resumed WAL continues the same system; restored jobs
-      // re-open via job_restore below.
-      out.set_restart_penalty(num_field(v, "restart_penalty", 0));
-    } else if (type == "arrival" || type == "job_submit") {
-      out.submitted(int_field(v, "job", -1), t);
-    } else if (type == "job_restore") {
-      out.submitted(int_field(v, "job", -1), t, /*restored=*/true);
-    } else if (type == "group") {
-      if (id_array_field(v, "jobs", ids)) {
-        if (round != gamma_round) {
-          gamma_round = round;
-          round_gammas.clear();
-        }
-        std::vector<std::int64_t> key = ids;
-        std::sort(key.begin(), key.end());
-        round_gammas[std::move(key)] = num_field(v, "gamma", 1.0);
-      }
-    } else if (type == "wait") {
-      const JsonValue& buckets = v.at("bucket");
-      if (id_array_field(v, "job", ids) && buckets.is_array() &&
-          buckets.array.size() == ids.size()) {
-        for (size_t i = 0; i < ids.size(); ++i) {
-          SpanKind kind;
-          if (buckets.array[i].is_string() &&
-              span_kind_from_name(buckets.array[i].string, kind)) {
-            out.wait_verdict(ids[i], t, round, kind);
-          }
-        }
-      }
-    } else if (type == "placement") {
-      if (id_array_field(v, "jobs", ids)) {
-        std::vector<std::int64_t> key = ids;
-        std::sort(key.begin(), key.end());
-        double gamma = 1.0;
-        if (round == gamma_round) {
-          const auto it = round_gammas.find(key);
-          if (it != round_gammas.end()) gamma = it->second;
-        }
-        const std::string mode = str_field(v, "mode");
-        for (const std::int64_t job : ids) {
-          out.placed(job, t, round, ids, gamma, mode);
-        }
-      }
-    } else if (type == "degraded_continue") {
-      if (id_array_field(v, "jobs", ids)) {
-        const double gamma = num_field(v, "gamma", 1.0);
-        const std::string mode = str_field(v, "mode");
-        for (const std::int64_t job : ids) {
-          out.degraded_continue(job, t, round, ids, gamma, mode);
-        }
-      }
-    } else if (type == "straggler") {
-      out.straggler(int_field(v, "job", -1), t, num_field(v, "factor", 1.0));
-    } else if (type == "restart") {
-      out.restarted(int_field(v, "job", -1));
-    } else if (type == "preempt") {
-      out.preempted(int_field(v, "job", -1), t, round);
-    } else if (type == "evict") {
-      out.evicted(int_field(v, "job", -1), t, round);
-    } else if (type == "fault") {
-      out.faulted(int_field(v, "job", -1), t, round);
-    } else if (type == "finish") {
-      out.finished(int_field(v, "job", -1), t, num_field(v, "jct", -1));
-    } else if (type == "job_cancel") {
-      out.cancelled(int_field(v, "job", -1), t);
-    }
-    // Every other record type carries nothing a job timeline tracks.
-  }
+  for (const DecisionRecord& rec : records) out.fold(rec.value);
 }
 
 // -- Renderers --------------------------------------------------------

@@ -37,21 +37,20 @@
 // timeline carries across a WAL restore (first submit and placement,
 // preemptions, restarts).
 //
-// Two drivers feed the same state machine:
-//
-//  - live: the simulator and the service engine/daemon call the typed
-//    event methods directly via a nullable JobTraceLog* (null = no-op;
-//    attaching never perturbs results — the obs bit-identity contract).
-//  - fold: build_job_traces() replays a parsed decision log
-//    (simulator or daemon WAL) through the same methods, so
-//    `muri-report timeline` and `muri-report jobs` reconstruct the
-//    identical spans and counts offline. A sim_start record starts the
-//    fold over, so a log of several runs folds to its last run.
-//    Exact agreement leans on two record types the emitters write for
-//    this purpose: "wait" (per-round bucket verdicts for every waiting
-//    job) and "straggler" (per-job factor changes), plus the
-//    "restart_penalty" field on sim_start/daemon_start (older logs fold
-//    with a zero gate: restart time shows up as run time).
+// One fold step feeds the state machine: JobTraceLog::fold() applies a
+// decision-log record (simulator run or daemon WAL) through the typed
+// event methods. Live, the recorder is a DecisionLog's subscriber and
+// folds each record as it commits, parsing only the types the fold reads
+// (attaching never perturbs results: the obs bit-identity contract); the
+// daemon adds the one fact no record carries, the HTTP-accept instant.
+// Offline, build_job_traces() runs the same step over a parsed log for
+// `muri-report timeline` and `muri-report jobs`. A sim_start record
+// starts the fold over, so a log of several runs folds to its last run.
+// The fold leans on the "wait" (per-round verdicts for every waiting job)
+// and "straggler" (per-job factor changes) records and on the
+// "restart_penalty" field of sim_start/daemon_start (older logs fold
+// with a zero gate). Records without a non-negative integer job id are
+// ignored.
 //
 // All renderers are byte-stable: a fixed-seed run produces the same
 // bytes for any num_threads, with doubles in the shared shortest
@@ -93,11 +92,10 @@ bool span_kind_from_name(std::string_view name, SpanKind& out) noexcept;
 // True for the six queued/displaced kinds, false for the placed three.
 bool span_kind_is_wait(SpanKind kind) noexcept;
 
-// The shared post-round verdict for a job left waiting: the scheduler
+// The post-round verdict for a job left waiting: the scheduler
 // explicitly deferred it, its demand exceeds the allocatable pool, or it
-// simply lost the priority race. Mutually exclusive and exhaustive; both
-// the simulator and the service engine classify with this exact function
-// so the "wait" records they emit agree.
+// simply lost the priority race. Mutually exclusive and exhaustive; the
+// engine's "wait" records carry it for the fold.
 SpanKind classify_wait(bool deferred_by_scheduler, int need_gpus,
                        int capacity_gpus) noexcept;
 
@@ -172,7 +170,7 @@ struct JobTimeline {
 // when it holds, else a diagnostic.
 std::string validate_timeline(const JobTimeline& t);
 
-class JobTraceLog {
+class JobTraceLog : public DecisionLog::Sink {
  public:
   JobTraceLog() = default;
   JobTraceLog(const JobTraceLog&) = delete;
@@ -180,17 +178,23 @@ class JobTraceLog {
 
   // Optional aggregate sink: each finished job observes its per-bucket
   // seconds into `muri_job_wait_bucket_seconds{bucket=...}` histograms.
-  // Call before feeding events.
+  // Call before feeding records.
   void set_metrics(MetricsRegistry* metrics) noexcept { metrics_ = metrics; }
-  // The restart-penalty gate opened at every (re)placement. The live
-  // emitters pass their configured penalty; the fold reads it from the
-  // sim_start/daemon_start record (0 when absent).
+  // The restart-penalty gate opened at every (re)placement; the fold
+  // reads it from the sim_start/daemon_start record (0 when absent).
   void set_restart_penalty(double seconds) noexcept {
     restart_penalty_ = seconds;
   }
   double restart_penalty() const noexcept { return restart_penalty_; }
 
-  // -- Lifecycle events (all thread-safe; unknown jobs are ignored) --
+  // The fold step, over one stream per recorder (the DecisionLog lock or
+  // build_job_traces serializes the calls). on_record() parses and folds
+  // only the record types fold() reads.
+  void fold(const JsonValue& record);
+  void on_record(std::string_view line) override;
+
+  // -- Lifecycle events, the fold's primitives (all thread-safe; unknown
+  // jobs are ignored) --
 
   // Daemon HTTP accept, ahead of the engine submit.
   void accepted(std::int64_t job, double t);
@@ -224,10 +228,6 @@ class JobTraceLog {
   void faulted(std::int64_t job, double t, std::int64_t round);
   void finished(std::int64_t job, double t, double reported_jct);
   void cancelled(std::int64_t job, double t);
-
-  // Drops every job (a new run begins in a shared log). Aggregates and
-  // the metrics registry attachment survive.
-  void clear();
 
   // -- Snapshots (attributed, restart-gate split applied) --
 
@@ -272,6 +272,9 @@ class JobTraceLog {
     std::vector<RawSpan> spans;
   };
 
+  // Drops every job (sim_start: a new run begins in a shared log).
+  // Aggregates and the metrics registry attachment survive.
+  void clear();
   State* live(std::int64_t job);
   static bool traced(const State& s);
   void displace(std::int64_t job, double t, std::int64_t round,
@@ -285,14 +288,16 @@ class JobTraceLog {
   std::map<std::int64_t, State> jobs_;
   MetricsRegistry* metrics_ = nullptr;
   double restart_penalty_ = 0;
+  // The current round's predicted γ per group, keyed by sorted members.
+  std::map<std::vector<std::int64_t>, double> round_gammas_;
+  std::int64_t gamma_round_ = -1;
   std::array<double, kNumSpanKinds> totals_{};
   std::int64_t finished_jobs_ = 0;
 };
 
-// Replays a parsed decision log (simulator run or daemon WAL) through
-// `out`, producing the same spans the live recorder saw. `out` should be
-// freshly constructed; its restart penalty is taken from the
-// sim_start/daemon_start record when present.
+// Folds a parsed decision log (simulator run or daemon WAL) into `out`
+// record by record: the spans a recorder attached to the same log saw.
+// `out` should be freshly constructed.
 void build_job_traces(const std::vector<DecisionRecord>& records,
                       JobTraceLog& out);
 

@@ -201,10 +201,16 @@ void DecisionLog::set_sink(Sink* sink) {
   sink_ = sink;
 }
 
+void DecisionLog::set_subscriber(Sink* subscriber) {
+  std::lock_guard<std::mutex> lock(mu_);
+  subscriber_ = subscriber;
+}
+
 void DecisionLog::append(std::string line) {
   std::lock_guard<std::mutex> lock(mu_);
   lines_.push_back(std::move(line));
   if (sink_ != nullptr) sink_->on_record(lines_.back());
+  if (subscriber_ != nullptr) subscriber_->on_record(lines_.back());
 }
 
 bool parse_decision_log(std::string_view jsonl,

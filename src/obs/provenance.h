@@ -128,11 +128,12 @@ class DecisionLog {
     std::string line_;
   };
 
-  // Durable tap (src/recovery): every committed record line is forwarded
-  // — without the trailing newline — under the same lock that orders the
+  // A tap on the stream: every committed record line is forwarded —
+  // without the trailing newline — under the same lock that orders the
   // in-memory log, so a sink observes records in exactly jsonl() order.
   // on_record() runs inside Entry's destructor; it must not throw and
-  // must not call back into this DecisionLog.
+  // must not call back into this DecisionLog. Two slots take one each:
+  // the durable tap (src/recovery) and a subscriber (obs/jobtrace).
   class Sink {
    public:
     virtual ~Sink() = default;
@@ -180,13 +181,15 @@ class DecisionLog {
   // Writes jsonl() to `path`; false on I/O failure.
   bool write_jsonl(const std::string& path) const;
 
-  // Drops all records and resets the round counter. The sink, if any,
-  // stays attached (it is transport, not content).
+  // Drops all records and resets the round counter. The sink and the
+  // subscriber stay attached (they are transport, not content).
   void clear();
 
   // Attaches (or, with null, detaches) the durable tap. The sink must
   // outlive the log or be detached first.
   void set_sink(Sink* sink);
+  // The second slot, same contract; it sees each record after the tap.
+  void set_subscriber(Sink* subscriber);
 
  private:
   friend class Entry;
@@ -196,6 +199,7 @@ class DecisionLog {
   mutable std::mutex mu_;
   std::vector<std::string> lines_;
   Sink* sink_ = nullptr;
+  Sink* subscriber_ = nullptr;
 };
 
 // One parsed JSONL record: the JSON value plus the original line bytes

@@ -698,7 +698,6 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
         gamma = plan.efficiency;
         ++groups_formed;
       }
-      g.predicted_gamma = gamma;
       planned.push_back({std::move(g), best_priority, gamma});
     }
   }

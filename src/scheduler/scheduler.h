@@ -91,11 +91,6 @@ struct PlannedGroup {
   // simulator charges a mis-planning penalty proportional to the relative
   // gap (this is how profiling noise degrades performance, Fig. 14).
   Duration planned_period = 0;
-  // The interleaving efficiency γ the scheduler predicted when it formed
-  // this group (1.0 for singletons and schedulers that don't estimate).
-  // Purely observational — placement never reads it. Kept last so the
-  // aggregate-initialized literal groups baselines build stay valid.
-  double predicted_gamma = 1.0;
 };
 
 class Scheduler {

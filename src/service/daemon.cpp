@@ -261,8 +261,11 @@ bool MuriDaemon::start(std::string* error) {
   }
   observer_ = std::make_unique<Observer>(*this);
   if (options_.jobtrace_enabled) {
+    // The recorder folds the log from daemon_start on; only the HTTP
+    // accept instant reaches it directly.
     jobtrace_ = std::make_unique<obs::JobTraceLog>();
     jobtrace_->set_metrics(&registry_);
+    log_.set_subscriber(jobtrace_.get());
   }
 
   // The daemon serves the fault-free execution model: the engine's fault
@@ -274,7 +277,6 @@ bool MuriDaemon::start(std::string* error) {
   eng.durations_known = scheduler_->needs_durations();
   eng.profiler = options_.profiler;
   eng.decisions = &log_;
-  eng.jobtrace = jobtrace_.get();
   engine_ = std::make_unique<ExecutionEngine>(*scheduler_, eng, sim_base_,
                                               observer_.get());
   queue_ = std::make_unique<AdmissionQueue>(options_.queue_capacity);
@@ -338,9 +340,6 @@ bool MuriDaemon::start(std::string* error) {
         .num("t", sim_base_)
         .integer("job", id)
         .num("done", job.done);
-    if (jobtrace_ != nullptr) {
-      jobtrace_->submitted(id, sim_base_, /*restored=*/true);
-    }
     ++recovered_resumed_;
   }
 
@@ -411,7 +410,6 @@ void MuriDaemon::admit(const QueuedSubmission& s) {
       .integer("gpus", s.spec.num_gpus)
       .integer("iterations", s.spec.iterations);
   if (!s.spec.name.empty()) e.str("name", s.spec.name);
-  if (jobtrace_ != nullptr) jobtrace_->submitted(s.id, s.submit_time);
 }
 
 void MuriDaemon::pump(Time now, bool force_round) {

@@ -46,6 +46,7 @@
 
 #include "cluster/cluster.h"
 #include "obs/http_exporter.h"
+#include "obs/jobtrace.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/slo.h"
@@ -218,14 +219,15 @@ class MuriDaemon {
 
   DaemonOptions options_;
   obs::MetricsRegistry registry_;
+  // log_'s per-job span recorder (declared first: it outlives the log);
+  // null when jobtrace_enabled is off.
+  std::unique_ptr<obs::JobTraceLog> jobtrace_;
   obs::DecisionLog log_;
   std::unique_ptr<recovery::DurableSink> sink_;
   std::unique_ptr<Scheduler> scheduler_;
   std::unique_ptr<ExecutionEngine> engine_;
   std::unique_ptr<AdmissionQueue> queue_;
   std::unique_ptr<obs::HttpExporter> exporter_;
-  // Per-job span recorder; null when jobtrace_enabled is off.
-  std::unique_ptr<obs::JobTraceLog> jobtrace_;
 
   // Live SLO plane. history_/slo_ are null when their knobs are off;
   // observer_ is always attached (it feeds registry summaries too).

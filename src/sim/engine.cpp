@@ -139,13 +139,6 @@ ExecutionEngine::ExecutionEngine(Scheduler& scheduler,
       scheduler_.decision_log() == nullptr) {
     scheduler_.set_decision_log(options_.decisions);
   }
-  // The jobtrace gate arithmetic must match JobState::ready_at exactly.
-  if (options_.jobtrace != nullptr) {
-    options_.jobtrace->set_restart_penalty(options_.restart_penalty);
-    if (options_.metrics != nullptr) {
-      options_.jobtrace->set_metrics(options_.metrics);
-    }
-  }
   // Simulated-time trace: one track per machine (run spans, fault
   // windows) plus the scheduler track. Several runs may share one tracer;
   // the epoch separates their overlapping windows and reused ids.
@@ -224,7 +217,6 @@ bool ExecutionEngine::cancel(JobId id, Time at, const char* reason) {
         .integer("job", id)
         .str("reason", reason);
   }
-  if (options_.jobtrace != nullptr) options_.jobtrace->cancelled(id, at);
   return true;
 }
 
@@ -441,9 +433,6 @@ void ExecutionEngine::finish_job(JobState& s) {
         .num("restart_overhead", b.restart_overhead_seconds)
         .integer("preemptions", b.preemptions);
   }
-  if (options_.jobtrace != nullptr) {
-    options_.jobtrace->finished(id, now_, b.jct_seconds);
-  }
   if (observer_ != nullptr) observer_->on_job_finish(now_, b.jct_seconds);
   queue_changed_ = true;
 }
@@ -457,9 +446,6 @@ void ExecutionEngine::fail_job(JobState& s) {
         .num("t", now_)
         .integer("job", dead)
         .str("reason", "job_fault");
-  }
-  if (options_.jobtrace != nullptr) {
-    options_.jobtrace->faulted(dead, now_, cur_round_id_);
   }
   leave_running(s, JobPhase::kQueued);
   c_faults_.inc();
@@ -504,9 +490,6 @@ void ExecutionEngine::handle_machine_event(const FaultEvent& e) {
                 .integer("job", id)
                 .integer("machine", static_cast<std::int64_t>(e.machine))
                 .str("reason", "machine_down");
-          }
-          if (options_.jobtrace != nullptr) {
-            options_.jobtrace->evicted(id, now_, cur_round_id_);
           }
           leave_running(s, JobPhase::kQueued);
           ++s.preemptions;
@@ -595,9 +578,6 @@ void ExecutionEngine::refresh_straggler_factors() {
             .integer("job", id)
             .num("factor", f);
       }
-      if (options_.jobtrace != nullptr) {
-        options_.jobtrace->straggler(id, now_, f);
-      }
     }
   }
 }
@@ -660,13 +640,6 @@ void ExecutionEngine::replan_degraded(RunningGroup& g) {
         .ids("jobs", g.members)
         .num("gamma", ex.gamma_pred)
         .str("mode", mode_name(g.mode));
-  }
-  if (options_.jobtrace != nullptr) {
-    for (JobId id : g.members) {
-      options_.jobtrace->degraded_continue(id, now_, cur_round_id_,
-                                           g.members, ex.gamma_pred,
-                                           mode_name(g.mode));
-    }
   }
 }
 
@@ -747,27 +720,26 @@ void ExecutionEngine::run_round() {
   scheduler_wall_ms_ += seconds_between(t_schedule, t_place) * 1e3;
   ++rounds_;
 
-  // The round id cross-links into the decision log (and equals the round
-  // ordinal when no log is wired, so trace and jobtrace bytes do not
-  // depend on whether a log is attached).
+  // The tracer's round instant carries the round id that cross-links into
+  // the decision log (the round ordinal when no log is wired, so trace
+  // bytes do not depend on whether a log is attached).
   obs::DecisionLog* const decisions = options_.decisions;
-  cur_round_id_ = decisions != nullptr ? decisions->current_round() : rounds_;
   if (options_.tracer != nullptr) {
+    const std::int64_t round_id =
+        decisions != nullptr ? decisions->current_round() : rounds_;
     options_.tracer->instant_at(
         to_us(now_), "round", "sched", obs::kSchedulerTrack, 0,
         obs::TraceArgs("queue", static_cast<double>(queue.size()), "groups",
                        static_cast<double>(plan.size()), "round",
-                       static_cast<double>(cur_round_id_)));
+                       static_cast<double>(round_id)));
   }
   // Displacements recorded by place() belong to the *next* round's delta.
   dirty_jobs_.clear();
   place(plan);
 
-  // Post-round wait verdicts: classify every job the plan left waiting,
-  // identically in the jobtrace events and the decision log's "wait"
-  // record (ids ascending).
-  obs::JobTraceLog* const jobtrace = options_.jobtrace;
-  if (jobtrace != nullptr || decisions != nullptr) {
+  // Post-round wait verdicts: the "wait" record classifies every job the
+  // plan left waiting (ids ascending) into a per-job timeline wait bucket.
+  if (decisions != nullptr) {
     const std::vector<JobId>& deferred = scheduler_.last_deferred();
     const int capacity = ctx.capacity();
     std::vector<std::int64_t> wait_ids;
@@ -776,17 +748,11 @@ void ExecutionEngine::run_round() {
       if (s.phase != JobPhase::kQueued) continue;
       const bool was_deferred =
           std::binary_search(deferred.begin(), deferred.end(), s.job.id);
-      const obs::SpanKind bucket =
-          obs::classify_wait(was_deferred, s.job.num_gpus, capacity);
-      if (jobtrace != nullptr) {
-        jobtrace->wait_verdict(s.job.id, now_, cur_round_id_, bucket);
-      }
-      if (decisions != nullptr) {
-        wait_ids.push_back(s.job.id);
-        wait_buckets.emplace_back(obs::span_kind_name(bucket));
-      }
+      wait_ids.push_back(s.job.id);
+      wait_buckets.emplace_back(obs::span_kind_name(
+          obs::classify_wait(was_deferred, s.job.num_gpus, capacity)));
     }
-    if (decisions != nullptr && !wait_ids.empty()) {
+    if (!wait_ids.empty()) {
       decisions->entry("wait")
           .num("t", now_)
           .ids("job", wait_ids)
@@ -805,7 +771,6 @@ void ExecutionEngine::run_round() {
 // configuration changed, and preempts every running job the plan left out.
 void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
   obs::DecisionLog* const decisions = options_.decisions;
-  obs::JobTraceLog* const jobtrace = options_.jobtrace;
   cluster_.reset();
   running_groups_.clear();
   std::set<JobId> placed;
@@ -867,12 +832,6 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
           .str("mode", mode_name(g.mode))
           .ints("machines", machine_ids)
           .integer("owner", static_cast<std::int64_t>(owner));
-    }
-    if (jobtrace != nullptr) {
-      for (JobId id : g.members) {
-        jobtrace->placed(id, now_, cur_round_id_, g.members,
-                         g.predicted_gamma, mode_name(g.mode));
-      }
     }
     running_groups_.emplace(owner, std::move(rg));
     for (JobId id : g.members) placed.insert(id);
@@ -948,7 +907,6 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
                 .integer("job", id)
                 .str("reason", "regrouped");
           }
-          if (jobtrace != nullptr) jobtrace->restarted(id);
           end_run_span(s);
         } else {
           ++running_;
@@ -983,7 +941,6 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
               .integer("job", id)
               .num("factor", strag);
         }
-        if (jobtrace != nullptr) jobtrace->straggler(id, now_, strag);
       }
       s.period = ex.periods[i];
       s.owner = owner;
@@ -1009,9 +966,6 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
           .num("t", now_)
           .integer("job", s.job.id)
           .str("reason", "displaced");
-    }
-    if (jobtrace != nullptr) {
-      jobtrace->preempted(s.job.id, now_, cur_round_id_);
     }
     leave_running(s, JobPhase::kQueued);
     ++s.preemptions;

@@ -6,8 +6,9 @@
 // placement of the scheduler's plan (sim/exec_model periods), job faults,
 // machine crash/recover and straggler windows (src/fault), degraded
 // continuation of groups that lost a member, the per-incarnation group
-// accounts behind realized γ, and the tracer / DecisionLog / jobtrace
-// hooks. It never decides *when* anything happens; two drivers do:
+// accounts behind realized γ, and the tracer / DecisionLog hooks (the
+// per-job timelines are a fold of the DecisionLog, src/obs/jobtrace). It
+// never decides *when* anything happens; two drivers do:
 //
 //   run_simulation (sim/simulator.cpp)  submits trace arrivals and jumps
 //                                       between events of a closed trace;
@@ -286,9 +287,6 @@ class ExecutionEngine {
   std::int64_t finished_ = 0;
   std::int64_t rounds_ = 0;
   double scheduler_wall_ms_ = 0;
-  // Round id stamped on between-round jobtrace events (the decision-log
-  // round, or the round ordinal when no log is wired).
-  std::int64_t cur_round_id_ = 0;
   // The lifecycle delta handed to the scheduler as ctx.dirty_jobs
   // (includes displacements); queue_changed_ is the narrower round
   // trigger.

@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "obs/jobtrace.h"
 #include "obs/provenance.h"
 #include "sim/engine.h"
 
@@ -87,7 +86,6 @@ SimResult run_simulation(const Trace& trace, Scheduler& scheduler,
             .integer("job", job.id)
             .integer("gpus", job.num_gpus);
       }
-      if (options.jobtrace != nullptr) options.jobtrace->submitted(job.id, now);
     }
     engine.settle();
     dirty = dirty || engine.dirty();

@@ -42,7 +42,6 @@
 
 namespace muri::obs {
 class DecisionLog;
-class JobTraceLog;
 class MetricsRegistry;
 class Tracer;
 }  // namespace muri::obs
@@ -107,12 +106,8 @@ struct SimOptions {
   // Null (the default) disables all of it; SimResult is bit-identical
   // either way.
   obs::DecisionLog* decisions = nullptr;
-  // Per-job causal span recorder (src/obs/jobtrace): submit → round
-  // verdicts → placement/restart → preempt/evict/fault/degraded/straggler
-  // → finish, attributed into wait buckets that sum to the realized JCT.
-  // Null (the default) disables it; attaching never perturbs SimResult,
-  // the decision log, or the trace — the same obs bit-identity contract.
-  obs::JobTraceLog* jobtrace = nullptr;
+  // Per-job timelines (src/obs/jobtrace) are a fold of this log; record
+  // them live with decisions->set_subscriber(&job_trace_log).
 };
 
 // Per-job completion-time decomposition (the "JCT breakdown" of the

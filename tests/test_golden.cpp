@@ -106,9 +106,9 @@ std::map<std::string, std::string> sim_digests(const std::string& name,
   obs::Tracer tracer;
   obs::DecisionLog log;
   obs::JobTraceLog jobtrace;
+  log.set_subscriber(&jobtrace);
   options.tracer = &tracer;
   options.decisions = &log;
-  options.jobtrace = &jobtrace;
   const SimResult result = run_simulation(trace, scheduler, options);
   std::map<std::string, std::string> digests = {
       {name + ".result", digest(result_fingerprint(result))},

@@ -1,11 +1,11 @@
 // Per-job causal tracing (src/obs/jobtrace): the span state machine and
 // wait-bucket classifier, the attribution invariant (buckets + run spans
 // sum to the realized JCT for every finished job), live-vs-fold agreement
-// (the recorder fed by the simulator matches build_job_traces() over the
-// same decision log), byte-stable renderers across scheduler thread
-// counts, the Chrome export, the schema of the new wait/straggler
-// records, and the obs bit-identity contract (attaching a JobTraceLog
-// changes neither SimResult nor the decision-log bytes).
+// (the recorder subscribed to a simulator's decision log matches
+// build_job_traces() over the same log), byte-stable renderers across
+// scheduler thread counts, the Chrome export, the schema of the new
+// wait/straggler records, and the obs bit-identity contract (subscribing
+// a JobTraceLog changes neither SimResult nor the decision-log bytes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -298,9 +298,11 @@ SimOptions faulty_cluster() {
 
 TEST(JobTrace, EveryFinishedSimJobSatisfiesTheAttributionInvariant) {
   const Trace t = contended_trace();
+  DecisionLog log;
   JobTraceLog live;
+  log.set_subscriber(&live);
   SimOptions opt = tiny_cluster();
-  opt.jobtrace = &live;
+  opt.decisions = &log;
   MuriScheduler s{MuriOptions{}};
   const SimResult result = run_simulation(t, s, opt);
   ASSERT_GT(result.finished_jobs, 0);
@@ -322,8 +324,10 @@ TEST(JobTrace, EveryFinishedSimJobSatisfiesTheAttributionInvariant) {
 TEST(JobTrace, InvariantHoldsUnderFaultsAndStragglers) {
   Trace t = contended_trace();
   SimOptions opt = faulty_cluster();
+  DecisionLog log;
   JobTraceLog live;
-  opt.jobtrace = &live;
+  log.set_subscriber(&live);
+  opt.decisions = &log;
   MuriScheduler s{MuriOptions{}};
   const SimResult result = run_simulation(t, s, opt);
   ASSERT_GT(result.finished_jobs, 0);
@@ -337,9 +341,9 @@ TEST(JobTrace, FoldOverDecisionLogMatchesTheLiveRecorder) {
   const Trace t = contended_trace();
   DecisionLog log;
   JobTraceLog live;
+  log.set_subscriber(&live);
   SimOptions opt = tiny_cluster();
   opt.decisions = &log;
-  opt.jobtrace = &live;
   MuriScheduler s{MuriOptions{}};
   run_simulation(t, s, opt);
 
@@ -372,8 +376,8 @@ TEST(JobTrace, FoldMatchesLiveUnderFaults) {
   SimOptions opt = faulty_cluster();
   DecisionLog log;
   JobTraceLog live;
+  log.set_subscriber(&live);
   opt.decisions = &log;
-  opt.jobtrace = &live;
   MuriScheduler s{MuriOptions{}};
   run_simulation(t, s, opt);
 
@@ -428,9 +432,9 @@ TEST(JobTrace, TimelineRoundIdsAgreeWithTheDecisionLog) {
   const Trace t = contended_trace();
   DecisionLog log;
   JobTraceLog live;
+  log.set_subscriber(&live);
   SimOptions opt = tiny_cluster();
   opt.decisions = &log;
-  opt.jobtrace = &live;
   MuriScheduler s{MuriOptions{}};
   run_simulation(t, s, opt);
 
@@ -471,9 +475,9 @@ TEST(JobTrace, AttachingTheRecorderIsBitIdentical) {
 
   DecisionLog traced_log;
   JobTraceLog live;
+  traced_log.set_subscriber(&live);
   SimOptions traced_opt = tiny_cluster();
   traced_opt.decisions = &traced_log;
-  traced_opt.jobtrace = &live;
   MuriScheduler traced{MuriOptions{}};
   const SimResult got = run_simulation(t, traced, traced_opt);
 
@@ -493,9 +497,9 @@ TEST(JobTrace, RenderersAreByteStableAcrossThreadCounts) {
   const auto render = [&](int threads) {
     DecisionLog log;
     JobTraceLog live;
+    log.set_subscriber(&live);
     SimOptions opt = tiny_cluster();
     opt.decisions = &log;
-    opt.jobtrace = &live;
     MuriOptions mo;
     mo.num_threads = threads;
     MuriScheduler s{mo};
@@ -514,9 +518,11 @@ TEST(JobTrace, RenderersAreByteStableAcrossThreadCounts) {
 
 TEST(JobTrace, ChromeExportValidates) {
   const Trace t = contended_trace();
+  DecisionLog log;
   JobTraceLog live;
+  log.set_subscriber(&live);
   SimOptions opt = tiny_cluster();
-  opt.jobtrace = &live;
+  opt.decisions = &log;
   MuriScheduler s{MuriOptions{}};
   run_simulation(t, s, opt);
   std::string error;
@@ -529,9 +535,12 @@ TEST(JobTrace, ChromeExportValidates) {
 TEST(JobTrace, FinishedJobsFeedWaitBucketHistograms) {
   obs::MetricsRegistry registry;
   const Trace t = contended_trace();
+  DecisionLog log;
   JobTraceLog live;
+  live.set_metrics(&registry);
+  log.set_subscriber(&live);
   SimOptions opt = tiny_cluster();
-  opt.jobtrace = &live;
+  opt.decisions = &log;
   opt.metrics = &registry;
   MuriScheduler s{MuriOptions{}};
   const SimResult result = run_simulation(t, s, opt);
@@ -572,6 +581,35 @@ TEST(JobTrace, FoldIgnoresUnknownBucketsAndShortLogs) {
   EXPECT_TRUE(fold.timelines().empty());
   JobTimeline t;
   EXPECT_FALSE(fold.timeline(42, t));
+
+  // Records without a non-negative integer job id name no job, and a
+  // wait verdict with an unknown bucket is no verdict: job 1 waits in
+  // awaiting_round from submit to finish.
+  std::vector<DecisionRecord> records;
+  std::string error;
+  ASSERT_TRUE(obs::parse_decision_log(
+      "{\"type\":\"arrival\",\"round\":0,\"t\":5,\"gpus\":1}\n"
+      "{\"type\":\"arrival\",\"round\":0,\"t\":5,\"job\":-3,\"gpus\":1}\n"
+      "{\"type\":\"job_submit\",\"round\":0,\"t\":5,\"job\":2.5}\n"
+      "{\"type\":\"job_submit\",\"round\":0,\"t\":5,\"job\":\"4\"}\n"
+      "{\"type\":\"arrival\",\"round\":0,\"t\":0,\"job\":1,\"gpus\":1}\n"
+      "{\"type\":\"wait\",\"round\":1,\"t\":60,\"job\":[1],"
+      "\"bucket\":[\"sleeping\"]}\n"
+      "{\"type\":\"placement\",\"round\":1,\"t\":60,\"jobs\":[1,-1]}\n"
+      "{\"type\":\"finish\",\"round\":1,\"t\":100,\"job\":1,\"jct\":100}\n",
+      records, &error))
+      << error;
+  JobTraceLog partial;
+  obs::build_job_traces(records, partial);
+  const std::vector<JobTimeline> tls = partial.timelines();
+  ASSERT_EQ(tls.size(), 1u);
+  EXPECT_EQ(tls[0].job, 1);
+  EXPECT_TRUE(tls[0].finished);
+  ASSERT_EQ(tls[0].spans.size(), 1u);
+  EXPECT_EQ(tls[0].spans[0].kind, SpanKind::kAwaitingRound);
+  EXPECT_EQ(tls[0].spans[0].end, 100);
+  EXPECT_EQ(obs::validate_timeline(tls[0]), "");
+  EXPECT_EQ(obs::jobs_report_csv(tls).find("\n-"), std::string::npos);
 }
 
 }  // namespace
