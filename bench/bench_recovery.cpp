@@ -19,9 +19,9 @@
 // appends the rest. `cmp clean.json recovered.json` (and cmp of the WALs)
 // is the CI assertion: a resumed run converges to the uninterrupted one.
 //
-// The workload is fixed-shape and seeded (--seed/--jobs/--threads vary
-// it), with job faults and machine crash/repair enabled so the WAL
-// carries the full record vocabulary.
+// The workload is fixed-shape and seeded (--seed/--jobs vary it), with
+// job faults and machine crash/repair enabled so the WAL carries the full
+// record vocabulary.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   const std::string wal_path = flags.get("wal");
   if (wal_path.empty()) {
     std::cerr << "usage: bench_recovery --wal=PATH [--resume] "
-                 "[--result-out=PATH] [--seed=N] [--jobs=N] [--threads=N] "
+                 "[--result-out=PATH] [--seed=N] [--jobs=N] "
                  "[--fsync=none|interval|every_record] [--snapshot-every=N]\n";
     return 1;
   }
@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
   const std::string result_out = flags.get("result-out");
   const int seed = flags.get_int("seed", 1);
   const int jobs = flags.get_int("jobs", 60);
-  const int threads = flags.get_int("threads", 1);
   const std::string fsync = flags.get("fsync", "interval");
   const int snapshot_every = flags.get_int("snapshot-every", 25);
 
@@ -86,9 +85,7 @@ int main(int argc, char** argv) {
   sim.machine_faults.machine_mttr_hours = 0.2;
   sim.max_time = 14 * 24 * 3600;  // safety stop, never reached in practice
 
-  MuriOptions muri_options;
-  muri_options.num_threads = threads;
-  MuriScheduler scheduler(muri_options);
+  MuriScheduler scheduler;
 
   recovery::DurableSinkOptions sink_options;
   if (fsync == "none") {

@@ -1,7 +1,7 @@
 // §5 scalability claim: "the centralized scheduler can generate a
 // grouping plan for 1,000 jobs in a few seconds". Google-benchmark over
 // the multi-round Blossom grouping and its building blocks, plus a
-// jobs × threads scheduling-round sweep that emits a machine-readable
+// configs × jobs scheduling-round sweep that emits a machine-readable
 // BENCH_sched_round.json for the CI perf trajectory:
 //
 //   bench_scalability --json            # full sweep → BENCH_sched_round.json
@@ -12,9 +12,6 @@
 // The JSON also records `reference_seconds`: a fixed single-threaded
 // kernel timed before and after the sweep, so tools/diff_bench.py can
 // divide out the host's speed without assuming most points are unchanged.
-// The sweep also enforces the determinism gate: every multi-threaded plan
-// is compared against the single-threaded plan and a mismatch fails the
-// run (exit 1) — speed without bit-identical output is a bug here.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -127,14 +124,15 @@ BENCHMARK(BM_GreedyMatching)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Scheduling-round sweep (jobs × threads) → BENCH_sched_round.json.
+// Scheduling-round sweep (configs × jobs) → BENCH_sched_round.json.
 
 // Three queue shapes: "buckets4" cycles GPU demand 1/2/4/8 so the round
-// groups four independent buckets concurrently (the common production
-// shape), "bucket1" puts every job in the single 1-GPU bucket, grouped
-// on one thread whatever the thread count (the honest worst case). "distinct1" is bucket1 with every stage time jittered by
-// ±10%, so no two profiles are equal and the grouping's class table can
-// serve no stage-0 pair (as with measured, uncached profiles).
+// groups four equal buckets one after another, "bucket1" puts every job
+// in the single 1-GPU bucket (the shape of the benchmark workloads, where
+// one bucket carries almost all of a round's work), and "distinct1" is
+// bucket1 with every stage time jittered by ±10%, so no two profiles are
+// equal and the grouping's class table can serve no stage-0 pair (as with
+// measured, uncached profiles).
 std::vector<JobView> sweep_queue(int jobs, bool four_buckets,
                                  std::uint64_t seed, bool jitter = false) {
   Rng rng(seed);
@@ -198,41 +196,22 @@ double reference_kernel_seconds() {
   return best;
 }
 
-bool same_plan(const std::vector<PlannedGroup>& a,
-               const std::vector<PlannedGroup>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].members != b[i].members || a[i].num_gpus != b[i].num_gpus ||
-        a[i].mode != b[i].mode || a[i].slots != b[i].slots ||
-        a[i].offsets != b[i].offsets ||
-        a[i].planned_period != b[i].planned_period) {
-      return false;
-    }
-  }
-  return true;
-}
-
 struct SweepPoint {
   std::string config;
   int jobs = 0;
-  int threads = 0;
   double round_seconds = 0;
+  // Counters of the repetition whose time is round_seconds.
   GroupingStats stats;
   int groups = 0;
-  bool identical_to_serial = true;
-  double speedup_vs_serial = 1.0;
 };
 
 int run_sweep(bool small, const std::string& out_path) {
   const std::vector<int> job_sizes =
       small ? std::vector<int>{48, 96} : std::vector<int>{128, 256, 512};
-  const std::vector<int> thread_counts =
-      small ? std::vector<int>{1, 2, 4} : std::vector<int>{1, 2, 4, 8};
   const int reps = small ? 3 : 5;
 
   const double reference_before = reference_kernel_seconds();
   std::vector<SweepPoint> points;
-  bool determinism_ok = true;
   for (const char* config : {"buckets4", "bucket1", "distinct1"}) {
     const bool four_buckets = std::string(config) == "buckets4";
     const bool distinct = std::string(config) == "distinct1";
@@ -243,58 +222,37 @@ int run_sweep(bool small, const std::string& out_path) {
       ctx.total_gpus = four_buckets ? jobs : jobs / 2;
       ctx.gpus_per_machine = 8;
 
-      std::vector<PlannedGroup> serial_plan;
-      double serial_seconds = 0;
-      for (const int threads : thread_counts) {
-        MuriOptions opt;
-        opt.durations_known = true;
-        opt.candidate_cap = jobs;  // group the whole queue, no 192 clamp
-        opt.num_threads = threads;
-        MuriScheduler sched(opt);
+      MuriOptions opt;
+      opt.durations_known = true;
+      opt.candidate_cap = jobs;  // group the whole queue, no 192 clamp
+      MuriScheduler sched(opt);
 
-        SweepPoint p;
-        p.config = config;
-        p.jobs = jobs;
-        p.threads = threads;
-        p.round_seconds = 1e300;
-        std::vector<PlannedGroup> plan;
-        for (int rep = 0; rep < reps; ++rep) {
-          const auto t0 = std::chrono::steady_clock::now();
-          plan = sched.schedule(queue, ctx);
-          const double sec =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            t0)
-                  .count();
-          p.round_seconds = std::min(p.round_seconds, sec);
+      SweepPoint p;
+      p.config = config;
+      p.jobs = jobs;
+      p.round_seconds = 1e300;
+      for (int rep = 0; rep < reps; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::vector<PlannedGroup> plan = sched.schedule(queue, ctx);
+        const double sec =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count();
+        if (sec < p.round_seconds) {
+          p.round_seconds = sec;
+          p.stats = sched.last_round_stats();
+          p.groups = static_cast<int>(plan.size());
         }
-        p.stats = sched.last_round_stats();
-        p.groups = static_cast<int>(plan.size());
-        if (threads == 1) {
-          serial_plan = plan;
-          serial_seconds = p.round_seconds;
-        } else {
-          p.identical_to_serial = same_plan(serial_plan, plan);
-          p.speedup_vs_serial = serial_seconds / p.round_seconds;
-          if (!p.identical_to_serial) {
-            determinism_ok = false;
-            std::fprintf(stderr,
-                         "DETERMINISM VIOLATION: %s jobs=%d threads=%d "
-                         "diverges from the serial plan\n",
-                         config, jobs, threads);
-          }
-        }
-        std::printf(
-            "%-9s jobs=%-4d threads=%d  round=%8.3f ms  graph=%7.3f ms  "
-            "match=%7.3f ms  gamma_evals=%lld  table_hits=%lld  "
-            "speedup=%.2fx%s\n",
-            p.config.c_str(), jobs, threads, p.round_seconds * 1e3,
-            p.stats.graph_build_seconds * 1e3, p.stats.matching_seconds * 1e3,
-            static_cast<long long>(p.stats.cache_misses),
-            static_cast<long long>(p.stats.cache_hits), p.speedup_vs_serial,
-            p.identical_to_serial ? "" : "  MISMATCH");
-        std::fflush(stdout);
-        points.push_back(std::move(p));
       }
+      std::printf(
+          "%-9s jobs=%-4d round=%8.3f ms  graph=%7.3f ms  match=%7.3f ms  "
+          "gamma_evals=%lld  table_hits=%lld\n",
+          p.config.c_str(), jobs, p.round_seconds * 1e3,
+          p.stats.graph_build_seconds * 1e3, p.stats.matching_seconds * 1e3,
+          static_cast<long long>(p.stats.cache_misses),
+          static_cast<long long>(p.stats.cache_hits));
+      std::fflush(stdout);
+      points.push_back(std::move(p));
     }
   }
 
@@ -311,8 +269,6 @@ int run_sweep(bool small, const std::string& out_path) {
   std::fprintf(f, "  \"small\": %s,\n", small ? "true" : "false");
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"determinism_ok\": %s,\n",
-               determinism_ok ? "true" : "false");
   std::fprintf(f, "  \"reference_before_seconds\": %.9f,\n",
                reference_before);
   std::fprintf(f, "  \"reference_after_seconds\": %.9f,\n",
@@ -324,24 +280,22 @@ int run_sweep(bool small, const std::string& out_path) {
     const SweepPoint& p = points[i];
     std::fprintf(
         f,
-        "    {\"config\": \"%s\", \"jobs\": %d, \"threads\": %d, "
+        "    {\"config\": \"%s\", \"jobs\": %d, "
         "\"round_seconds\": %.9f, \"graph_build_seconds\": %.9f, "
         "\"matching_seconds\": %.9f, \"gamma_evals\": %lld, "
         "\"gamma_table_hits\": %lld, "
-        "\"matchings_run\": %lld, \"groups\": %d, "
-        "\"identical_to_serial\": %s, \"speedup_vs_serial\": %.4f}%s\n",
-        p.config.c_str(), p.jobs, p.threads, p.round_seconds,
+        "\"matchings_run\": %lld, \"groups\": %d}%s\n",
+        p.config.c_str(), p.jobs, p.round_seconds,
         p.stats.graph_build_seconds, p.stats.matching_seconds,
         static_cast<long long>(p.stats.cache_misses),
         static_cast<long long>(p.stats.cache_hits),
         static_cast<long long>(p.stats.matchings_run), p.groups,
-        p.identical_to_serial ? "true" : "false", p.speedup_vs_serial,
         i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
-  return determinism_ok ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -53,8 +53,8 @@
 // ignored.
 //
 // All renderers are byte-stable: a fixed-seed run produces the same
-// bytes for any num_threads, with doubles in the shared shortest
-// round-trip format.
+// bytes on every run and from any driving thread, with doubles in the
+// shared shortest round-trip format.
 #pragma once
 
 #include <array>

@@ -21,7 +21,7 @@
 //    ids, simulated time, and the deterministic doubles already computed
 //    by the scheduler — and doubles print in the same shortest-round-trip
 //    format the trace exporter uses. A fixed-seed run dumps a
-//    byte-identical log every time, for any num_threads.
+//    byte-identical log every time, from any driving thread.
 //  - Cross-linked: every record carries the round id that the tracer
 //    stamps on its scheduler-track round spans ("round" arg), so a
 //    Perfetto timeline and a provenance log index into each other.

@@ -15,7 +15,7 @@
 //    only ever contended by a concurrent export, never by another
 //    recorder, so steady-state recording is an uncontended lock plus a
 //    struct write. This is the property that keeps recording from the
-//    scheduler's thread pool TSan-clean.
+//    live executor's member threads TSan-clean.
 //  - Bounded memory: rings have fixed capacity; once full the oldest
 //    event is overwritten and `dropped()` counts what was lost. An
 //    exported trace therefore always holds the *most recent* window.

@@ -7,9 +7,9 @@
 // running in which groups on which machines, which finished with what
 // JCT, which fault domains are down, and how far the round counter got.
 // The fold is a pure function of the record sequence — replaying the
-// same log twice yields byte-identical state, and a threaded run's log
-// replays to the same state as a serial run's because the log itself is
-// byte-stable across num_threads.
+// same log twice yields byte-identical state, and a run driven from
+// another thread replays to the same state as one on the main thread
+// because the log itself is byte-stable.
 //
 // ReplayState also doubles as the snapshot payload of the WAL (wal.h):
 // state_json() is byte-stable (fixed key order, sorted sets, the

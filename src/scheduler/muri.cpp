@@ -8,10 +8,8 @@
 #include <cstring>
 #include <limits>
 #include <map>
-#include <thread>
 #include <utility>
 
-#include "common/threadpool.h"
 #include "matching/blossom.h"
 #include "matching/capture.h"
 #include "obs/metrics.h"
@@ -162,6 +160,85 @@ void export_round_metrics(obs::MetricsRegistry& m, const GroupingStats& round,
   phase("graph_build", round.graph_build_seconds);
   phase("matching", round.matching_seconds);
   phase("admission", round.admission_seconds);
+}
+
+// The "Muri w/o Blossom" ablation (§6.4): groups of up to max_group_size
+// consecutive jobs of a bucket, in descending priority order.
+std::vector<std::vector<int>> pack_in_order(int n, int max_group_size) {
+  std::vector<std::vector<int>> groups;
+  std::vector<int> chunk;
+  for (int i = 0; i < n; ++i) {
+    chunk.push_back(i);
+    if (static_cast<int>(chunk.size()) == max_group_size) {
+      groups.push_back(chunk);
+      chunk.clear();
+    }
+  }
+  if (!chunk.empty()) groups.push_back(chunk);
+  return groups;
+}
+
+// Serializes one bucket's candidate set and matching rounds into the
+// decision log, translating bucket-local member indices to job ids
+// (`jobs[local]`; edge/matched endpoints stay node indices into the
+// sibling "nodes" array, per the record catalog). Each bucket is grouped
+// whole, so a bucket reports one component under Blossom (none under the
+// packing ablation) and every match_round carries component 0.
+void log_bucket(obs::DecisionLog& dlog, int gpus,
+                const std::vector<std::int64_t>& jobs,
+                const GroupingCapture& capture, bool use_blossom) {
+  dlog.entry("bucket")
+      .integer("gpus", gpus)
+      .ids("jobs", jobs)
+      .integer("components", use_blossom ? 1 : 0);
+  for (const MatchingRoundRecord& mr : capture.rounds) {
+    std::string nodes_json = "[";
+    for (size_t ni = 0; ni < mr.nodes.size(); ++ni) {
+      if (ni != 0) nodes_json += ',';
+      nodes_json += '[';
+      for (size_t mi = 0; mi < mr.nodes[ni].size(); ++mi) {
+        if (mi != 0) nodes_json += ',';
+        obs::append_json_double(
+            nodes_json, static_cast<double>(
+                            jobs[static_cast<size_t>(mr.nodes[ni][mi])]));
+      }
+      nodes_json += ']';
+    }
+    nodes_json += ']';
+    std::string edges_json = "[";
+    for (size_t ei = 0; ei < mr.edges.size(); ++ei) {
+      if (ei != 0) edges_json += ',';
+      edges_json += '[';
+      obs::append_json_double(edges_json, static_cast<double>(mr.edges[ei].u));
+      edges_json += ',';
+      obs::append_json_double(edges_json, static_cast<double>(mr.edges[ei].v));
+      edges_json += ',';
+      obs::append_json_double(edges_json, mr.edges[ei].gamma);
+      edges_json += ']';
+    }
+    edges_json += ']';
+    std::string matched_json = "[";
+    for (size_t pi = 0; pi < mr.matched.size(); ++pi) {
+      if (pi != 0) matched_json += ',';
+      matched_json += '[';
+      obs::append_json_double(matched_json,
+                              static_cast<double>(mr.matched[pi].first));
+      matched_json += ',';
+      obs::append_json_double(matched_json,
+                              static_cast<double>(mr.matched[pi].second));
+      matched_json += ']';
+    }
+    matched_json += ']';
+    dlog.entry("match_round")
+        .integer("gpus", gpus)
+        .integer("component", 0)
+        .integer("stage", mr.stage)
+        .raw("nodes", nodes_json)
+        .raw("edges", edges_json)
+        .raw("matched", matched_json)
+        .ints("unmatched", mr.unmatched)
+        .raw("fallback", mr.fallback ? "true" : "false");
+  }
 }
 
 }  // namespace
@@ -342,23 +419,7 @@ std::vector<std::vector<int>> multi_round_grouping(
 MuriScheduler::MuriScheduler(MuriOptions options) : options_(options) {
   assert(options_.max_group_size >= 1 &&
          options_.max_group_size <= kNumResources);
-  assert(options_.num_threads >= 0);
   set_decision_log(options_.decisions);
-}
-
-MuriScheduler::~MuriScheduler() = default;
-
-ThreadPool& MuriScheduler::pool() {
-  if (pool_ == nullptr) {
-    int requested = options_.num_threads;
-    if (requested <= 0) {
-      requested = static_cast<int>(std::thread::hardware_concurrency());
-    }
-    // The calling thread participates in every parallel_for, so a request
-    // for t-way concurrency needs t-1 workers; 0 workers runs inline.
-    pool_ = std::make_unique<ThreadPool>(std::max(requested - 1, 0));
-  }
-  return *pool_;
 }
 
 std::string MuriScheduler::name() const {
@@ -523,156 +584,48 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
     buckets[key].push_back(i);
   }
 
-  // Materialize the buckets in ascending-demand order (the map's order —
-  // the serial iteration order) so results are assembled identically no
-  // matter how the grouping work below is scheduled across threads.
-  std::vector<std::vector<int>> bucket_indices;
-  std::vector<int> bucket_keys;
-  bucket_indices.reserve(buckets.size());
-  bucket_keys.reserve(buckets.size());
-  for (auto& [key, indices] : buckets) {
-    bucket_keys.push_back(key);
-    bucket_indices.push_back(std::move(indices));
-  }
-  const size_t nb = bucket_indices.size();
-  std::vector<std::vector<ResourceVector>> bucket_profiles(nb);
-  for (size_t bi = 0; bi < nb; ++bi) {
-    bucket_profiles[bi].reserve(bucket_indices[bi].size());
-    for (int idx : bucket_indices[bi]) {
-      bucket_profiles[bi].push_back(
-          candidates[static_cast<size_t>(idx)].measured.stage_time);
-    }
-  }
-
-  // The round's only parallelism: one fan-out over the buckets, each task
-  // writing only the slots its index owns. Neither the body nor
-  // multi_round_grouping starts another parallel loop. A bucket of one
+  // Group the buckets one after another in ascending-demand order (the
+  // map's order), on this thread. Each bucket adds its grouping counters
+  // to last_round_stats_, writes its records to the decision log, and has
+  // its groups assembled before the next bucket starts. A bucket of one
   // job groups to {{0}} without touching stats or capture.
-  std::vector<std::vector<std::vector<int>>> bucket_groups(nb);
-  std::vector<GroupingStats> bucket_stats(nb);
-  // Matching rounds per bucket for the decision log; empty when no log is
-  // attached.
-  std::vector<GroupingCapture> bucket_captures(nb);
-  const auto group_bucket = [&](std::int64_t bi_raw) {
-    const auto bi = static_cast<size_t>(bi_raw);
-    const auto& profs = bucket_profiles[bi];
-    if (options_.use_blossom) {
-      bucket_groups[bi] = multi_round_grouping(
-          profs, options_.max_group_size, &bucket_stats[bi],
-          dlog != nullptr ? &bucket_captures[bi] : nullptr);
-      return;
-    }
-    // Ablation (§6.4): pack jobs with the same GPU requirement
-    // consecutively in descending priority order.
-    auto& groups = bucket_groups[bi];
-    std::vector<int> chunk;
-    for (int i = 0; i < static_cast<int>(profs.size()); ++i) {
-      chunk.push_back(i);
-      if (static_cast<int>(chunk.size()) == options_.max_group_size) {
-        groups.push_back(chunk);
-        chunk.clear();
-      }
-    }
-    if (!chunk.empty()) groups.push_back(chunk);
-  };
-  pool().parallel_for(0, static_cast<std::int64_t>(nb), group_bucket);
-
-  // Serial fold in bucket order, deterministic whatever the schedule of
-  // the fan-out above.
-  for (const GroupingStats& s : bucket_stats) last_round_stats_.accumulate(s);
-  cumulative_stats_.accumulate(last_round_stats_);
-
-  // Serialize the per-bucket candidate sets and matching rounds into the
-  // decision log, translating bucket-local member indices to job ids
-  // (edge/matched endpoints stay node indices into the sibling "nodes"
-  // array, per the record catalog). Each bucket is grouped whole, so a
-  // bucket reports one component under Blossom (none under the packing
-  // ablation) and every match_round carries component 0.
-  if (dlog != nullptr) {
-    const auto job_of = [&](size_t bi, int local) {
-      return candidates[static_cast<size_t>(
-                            bucket_indices[bi][static_cast<size_t>(local)])]
-          .id;
-    };
-    std::string scratch;
-    for (size_t bi = 0; bi < nb; ++bi) {
-      std::vector<std::int64_t> jobs;
-      jobs.reserve(bucket_indices[bi].size());
-      for (size_t i = 0; i < bucket_indices[bi].size(); ++i) {
-        jobs.push_back(job_of(bi, static_cast<int>(i)));
-      }
-      dlog->entry("bucket")
-          .integer("gpus", bucket_keys[bi])
-          .ids("jobs", jobs)
-          .integer("components", options_.use_blossom ? 1 : 0);
-      for (const MatchingRoundRecord& mr : bucket_captures[bi].rounds) {
-        std::string nodes_json = "[";
-        for (size_t ni = 0; ni < mr.nodes.size(); ++ni) {
-          if (ni != 0) nodes_json += ',';
-          nodes_json += '[';
-          for (size_t mi = 0; mi < mr.nodes[ni].size(); ++mi) {
-            if (mi != 0) nodes_json += ',';
-            scratch.clear();
-            obs::append_json_double(
-                scratch, static_cast<double>(job_of(bi, mr.nodes[ni][mi])));
-            nodes_json += scratch;
-          }
-          nodes_json += ']';
-        }
-        nodes_json += ']';
-        std::string edges_json = "[";
-        for (size_t ei = 0; ei < mr.edges.size(); ++ei) {
-          if (ei != 0) edges_json += ',';
-          edges_json += '[';
-          obs::append_json_double(edges_json,
-                                  static_cast<double>(mr.edges[ei].u));
-          edges_json += ',';
-          obs::append_json_double(edges_json,
-                                  static_cast<double>(mr.edges[ei].v));
-          edges_json += ',';
-          obs::append_json_double(edges_json, mr.edges[ei].gamma);
-          edges_json += ']';
-        }
-        edges_json += ']';
-        std::string matched_json = "[";
-        for (size_t pi = 0; pi < mr.matched.size(); ++pi) {
-          if (pi != 0) matched_json += ',';
-          matched_json += '[';
-          obs::append_json_double(matched_json,
-                                  static_cast<double>(mr.matched[pi].first));
-          matched_json += ',';
-          obs::append_json_double(matched_json,
-                                  static_cast<double>(mr.matched[pi].second));
-          matched_json += ']';
-        }
-        matched_json += ']';
-        dlog->entry("match_round")
-            .integer("gpus", bucket_keys[bi])
-            .integer("component", 0)
-            .integer("stage", mr.stage)
-            .raw("nodes", nodes_json)
-            .raw("edges", edges_json)
-            .raw("matched", matched_json)
-            .ints("unmatched", mr.unmatched)
-            .raw("fallback", mr.fallback ? "true" : "false");
-      }
-    }
-  }
-
-  // Phase timer: group assembly, priority admission, and placement
-  // ordering. cumulative_stats_ was already folded above, so this adds to
-  // both aggregates explicitly.
-  const auto t_admission = Clock::now();
   struct Planned {
     PlannedGroup group;
     double priority;
     double gamma;
   };
   std::vector<Planned> planned;
+  std::vector<ResourceVector> profiles;
+  // Matching rounds of the current bucket for the decision log; left empty
+  // when no log is attached.
+  GroupingCapture capture;
+  for (const auto& [gpus, indices] : buckets) {
+    profiles.clear();
+    for (int idx : indices) {
+      profiles.push_back(
+          candidates[static_cast<size_t>(idx)].measured.stage_time);
+    }
+    capture.rounds.clear();
+    const std::vector<std::vector<int>> groups =
+        options_.use_blossom
+            ? multi_round_grouping(profiles, options_.max_group_size,
+                                   &last_round_stats_,
+                                   dlog != nullptr ? &capture : nullptr)
+            : pack_in_order(static_cast<int>(profiles.size()),
+                            options_.max_group_size);
+    if (dlog != nullptr) {
+      std::vector<std::int64_t> jobs;
+      jobs.reserve(indices.size());
+      for (int idx : indices) {
+        jobs.push_back(candidates[static_cast<size_t>(idx)].id);
+      }
+      log_bucket(*dlog, gpus, jobs, capture, options_.use_blossom);
+    }
 
-  for (size_t bi = 0; bi < nb; ++bi) {
-    const std::vector<int>& indices = bucket_indices[bi];
-    for (const auto& group : bucket_groups[bi]) {
+    // Phase timer, with the admission block below: group assembly,
+    // priority admission, and placement ordering.
+    const auto t_assembly = Clock::now();
+    for (const auto& group : groups) {
       PlannedGroup g;
       double best_priority = std::numeric_limits<double>::infinity();
       int max_gpus = 0;
@@ -700,8 +653,10 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
       }
       planned.push_back({std::move(g), best_priority, gamma});
     }
+    last_round_stats_.admission_seconds += seconds_since(t_assembly);
   }
 
+  const auto t_admission = Clock::now();
   std::stable_sort(planned.begin(), planned.end(),
                    [](const Planned& a, const Planned& b) {
                      return a.priority < b.priority;
@@ -740,8 +695,8 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
     }
   }
   sort_groups_for_placement(admitted);
-  last_round_stats_.admission_seconds = seconds_since(t_admission);
-  cumulative_stats_.admission_seconds += last_round_stats_.admission_seconds;
+  last_round_stats_.admission_seconds += seconds_since(t_admission);
+  cumulative_stats_.accumulate(last_round_stats_);
 
   std::vector<PlannedGroup> plan = std::move(admitted);
   plan.reserve(plan.size() + overflow.size() + rest.size());

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "interleave/efficiency.h"
@@ -31,7 +30,6 @@ class Tracer;
 
 namespace muri {
 
-class ThreadPool;
 struct GroupingCapture;
 
 struct MuriOptions {
@@ -53,14 +51,6 @@ struct MuriOptions {
   // utilize the cluster"), clamped to 192 so a deep backlog cannot make a
   // scheduling round quadratically slower.
   int candidate_cap = 0;
-  // Threads a scheduling round may use. A contended round fans out once,
-  // over its GPU buckets: each bucket's matching graph is built and
-  // matched on one thread. 0 = hardware concurrency, 1 = the plain serial
-  // path. The plan is bit-identical for every value — every bucket writes
-  // only its own slot and results are folded serially in bucket order —
-  // so this is purely a latency knob. It pays when a round has several
-  // sizeable buckets; a one-bucket round runs on one thread.
-  int num_threads = 0;
   // Observability hooks (src/obs), both optional and read-only with
   // respect to the plan: `trace` receives a per-round span on the
   // scheduler track, `metrics` absorbs the GroupingStats counters
@@ -79,13 +69,14 @@ struct MuriOptions {
 };
 
 // Counters for one scheduling round (or one multi_round_grouping call):
-// where the time went and how much γ work the matching graphs took.
+// where the time went and how much γ work the matching graphs took. A
+// round runs on one thread, so its four timers cover disjoint stretches of
+// it and their sum never exceeds the round's wall time.
 struct GroupingStats {
-  // Wall seconds spent building matching-graph edge weights. Summed across
-  // buckets, so with concurrent buckets this can exceed the round's wall
-  // time — it measures work, not latency.
+  // Wall seconds spent building matching-graph edge weights, over every
+  // bucket of the round.
   double graph_build_seconds = 0;
-  // Wall seconds inside Blossom matching (summed across buckets).
+  // Wall seconds inside Blossom matching, over every bucket of the round.
   double matching_seconds = 0;
   // Wall seconds in the round's remaining phases (the live SLO plane's
   // round breakdown): the initial priority sort, and group
@@ -122,7 +113,6 @@ struct GroupingStats {
 class MuriScheduler final : public Scheduler {
  public:
   explicit MuriScheduler(MuriOptions options = {});
-  ~MuriScheduler() override;
 
   std::string name() const override;
   bool needs_durations() const override { return options_.durations_known; }
@@ -148,13 +138,8 @@ class MuriScheduler final : public Scheduler {
 
  private:
   double priority_of(const JobView& v) const;
-  // The pool backing this scheduler's rounds per options_.num_threads (0
-  // workers for the serial path). Created lazily on the first contended
-  // round so uncontended workloads never spawn threads.
-  ThreadPool& pool();
 
   MuriOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
   GroupingStats last_round_stats_;
   GroupingStats cumulative_stats_;
   // Round ids for the trace round span and the decision log; kept in

@@ -17,8 +17,7 @@ DIFF_BENCH = Path(__file__).resolve().parent.parent / "tools" / "diff_bench.py"
 def sweep(round_seconds, reference=0.05):
     """A sweep file body: one point per entry of round_seconds."""
     doc = {"bench": "sched_round", "sweep": [
-        {"config": "bucket1", "jobs": jobs, "threads": 1,
-         "round_seconds": secs}
+        {"config": "bucket1", "jobs": jobs, "round_seconds": secs}
         for jobs, secs in round_seconds.items()]}
     if reference is not None:
         doc["reference_seconds"] = reference
@@ -121,8 +120,8 @@ class DiffBenchTest(unittest.TestCase):
         self.assertIn("machine factor 1.000, 1.800, 1.400", out)
 
     def test_one_current_file_prints_the_single_sweep_report(self):
-        # The full report of a one-file run, byte for byte as the
-        # single-sweep gate printed it before it took several files.
+        # The full report of a one-file run, byte for byte: one row per
+        # (config, jobs) point, as the single-sweep gate printed it.
         cur = dict(BASE)
         cur[100] *= 1.5
         cur[40] *= 1.1
@@ -136,7 +135,7 @@ class DiffBenchTest(unittest.TestCase):
         want = ("diff_bench: 10 shared points, machine factor 1.100 from the "
                 "reference kernel, limit 1.20x after normalization\n")
         for jobs, ms, norm in rows:
-            want += (f"  bucket1   jobs={jobs:<4} threads=1  "
+            want += (f"  bucket1   jobs={jobs:<4}  "
                      f"{jobs * 0.1:8.3f} ms -> {ms:8.3f} ms  "
                      f"({norm:.2f}x normalized)")
             want += "  REGRESSION\n" if jobs == 100 else "\n"

@@ -1,6 +1,6 @@
 // Observability tests: tracer ring semantics, clock domains, trace-JSON
-// schema, metrics registry math and exposition format, thread-pool
-// concurrency (the TSan tier runs this binary), and the two contracts the
+// schema, metrics registry math and exposition format, recording from
+// several threads (the TSan tier runs this binary), and the two contracts the
 // instrumented modules promise — disabled obs leaves simulation results
 // bit-identical, and the Muri registry metrics reproduce GroupingStats
 // exactly.
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/threadpool.h"
 #include "job/model.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -115,12 +114,23 @@ TEST(Trace, ValidatorRejectsMalformedInput) {
       "\"tid\": 0, \"ts\": 5, \"dur\": 2}]}"));
 }
 
-TEST(Trace, ConcurrentRecordingFromThreadPool) {
+// Runs body(i) for every i in [0, n) on four threads, i strided by thread.
+template <typename Body>
+void run_on_four_threads(std::int64_t n, Body body) {
+  std::vector<std::thread> threads;
+  for (std::int64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([n, t, &body] {
+      for (std::int64_t i = t; i < n; i += 4) body(i);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+}
+
+TEST(Trace, ConcurrentRecordingFromThreads) {
   Tracer t;
   t.set_enabled(true);
-  ThreadPool pool(4);
-  pool.parallel_for(0, 1000, [&](std::int64_t i) {
-    t.instant_at(i, "work", "pool", 1, static_cast<int>(i % 4));
+  run_on_four_threads(1000, [&](std::int64_t i) {
+    t.instant_at(i, "work", "threads", 1, static_cast<int>(i % 4));
   });
   EXPECT_EQ(t.recorded(), 1000u);
   EXPECT_EQ(t.dropped(), 0);
@@ -194,12 +204,11 @@ TEST(Metrics, SummaryTracksExactQuantiles) {
   EXPECT_NEAR(s.percentile(99), 99, 1.5);
 }
 
-TEST(Metrics, ConcurrentIncrementsFromThreadPool) {
+TEST(Metrics, ConcurrentIncrementsFromThreads) {
   MetricsRegistry reg;
   obs::Counter& c = reg.counter("c_total", "help");
   obs::Histogram& h = reg.histogram("h", "help", {10.0, 100.0});
-  ThreadPool pool(4);
-  pool.parallel_for(0, 1000, [&](std::int64_t i) {
+  run_on_four_threads(1000, [&](std::int64_t i) {
     c.inc();
     h.observe(static_cast<double>(i % 200));
   });

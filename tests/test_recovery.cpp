@@ -3,7 +3,7 @@
 // suffix-replay recovery, log compaction, and the acceptance sweep —
 // kill the durable log at every record boundary, resume, and converge
 // bit-exactly (SimResult, plans, WAL bytes) with the uninterrupted run,
-// across seeds and thread counts.
+// across seeds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "job/model.h"
@@ -214,8 +215,8 @@ void expect_same_result(const SimResult& want, const SimResult& got) {
 
 // One durable reference run: returns the SimResult and leaves the WAL at
 // `path` (snapshots every `snapshot_every` records).
-SimResult durable_run(const Trace& trace, int num_threads,
-                      const std::string& path, std::int64_t snapshot_every,
+SimResult durable_run(const Trace& trace, const std::string& path,
+                      std::int64_t snapshot_every,
                       std::vector<std::vector<PlannedGroup>>* plans,
                       std::string* jsonl = nullptr) {
   DurableSinkOptions sink_options;
@@ -226,10 +227,8 @@ SimResult durable_run(const Trace& trace, int num_threads,
 
   DecisionLog log;
   log.set_sink(&sink);
-  MuriOptions muri_options;
-  muri_options.num_threads = num_threads;
   std::vector<std::vector<PlannedGroup>> local_plans;
-  PlanRecorder scheduler(std::make_unique<MuriScheduler>(muri_options),
+  PlanRecorder scheduler(std::make_unique<MuriScheduler>(),
                          plans != nullptr ? plans : &local_plans);
   SimOptions sim = faulty_cluster();
   sim.decisions = &log;
@@ -247,7 +246,7 @@ SimResult durable_run(const Trace& trace, int num_threads,
 TEST(DurableSink, PersistsRecordsInCommitOrder) {
   const std::string path = temp_path("sink_order.wal");
   std::string jsonl;
-  durable_run(recovery_trace(1), 1, path, 0, nullptr, &jsonl);
+  durable_run(recovery_trace(1), path, 0, nullptr, &jsonl);
 
   WalReadResult decoded;
   std::string error;
@@ -298,7 +297,7 @@ TEST(DurableSink, StopAfterRecordsLeavesABoundedPrefix) {
 TEST(Replay, SameLogReplayedTwiceYieldsIdenticalState) {
   const std::string path = temp_path("replay_twice.wal");
   std::string jsonl;
-  durable_run(recovery_trace(1), 1, path, 0, nullptr, &jsonl);
+  durable_run(recovery_trace(1), path, 0, nullptr, &jsonl);
 
   ReplayEngine first, second;
   std::string error;
@@ -310,13 +309,18 @@ TEST(Replay, SameLogReplayedTwiceYieldsIdenticalState) {
 }
 
 TEST(Replay, ThreadedRunReplaysIdenticalToSerial) {
+  // A daemon drives its scheduler from a loop thread, not the main
+  // thread, and grouping keeps its workspaces per thread. A run on
+  // another thread must log the very bytes of a run on this one.
   const Trace trace = recovery_trace(2);
   std::string serial_jsonl, threaded_jsonl;
-  durable_run(trace, 1, temp_path("replay_serial.wal"), 0, nullptr,
+  durable_run(trace, temp_path("replay_serial.wal"), 0, nullptr,
               &serial_jsonl);
-  durable_run(trace, 4, temp_path("replay_threaded.wal"), 0, nullptr,
-              &threaded_jsonl);
-  // The log itself is byte-stable across thread counts…
+  std::thread worker([&] {
+    durable_run(trace, temp_path("replay_threaded.wal"), 0, nullptr,
+                &threaded_jsonl);
+  });
+  worker.join();
   EXPECT_EQ(serial_jsonl, threaded_jsonl);
   // …and so, a fortiori, is the replayed state.
   ReplayEngine serial, threaded;
@@ -328,7 +332,7 @@ TEST(Replay, ThreadedRunReplaysIdenticalToSerial) {
 TEST(Replay, FinalStateMatchesTheLiveSimResult) {
   const Trace trace = recovery_trace(1);
   std::string jsonl;
-  const SimResult live = durable_run(trace, 1, temp_path("replay_live.wal"),
+  const SimResult live = durable_run(trace, temp_path("replay_live.wal"),
                                      0, nullptr, &jsonl);
 
   ReplayEngine engine;
@@ -357,7 +361,7 @@ TEST(Replay, FinalStateMatchesTheLiveSimResult) {
 
 TEST(Replay, SnapshotJsonRoundTrips) {
   std::string jsonl;
-  durable_run(recovery_trace(3), 1, temp_path("replay_rt.wal"), 0, nullptr,
+  durable_run(recovery_trace(3), temp_path("replay_rt.wal"), 0, nullptr,
               &jsonl);
   ReplayEngine engine;
   ASSERT_TRUE(engine.replay(jsonl));
@@ -377,7 +381,7 @@ TEST(Replay, SnapshotJsonRoundTrips) {
 TEST(Recovery, SnapshotPlusSuffixReplayEqualsFullReplay) {
   const std::string path = temp_path("snap_suffix.wal");
   std::string jsonl;
-  durable_run(recovery_trace(1), 1, path, /*snapshot_every=*/17, nullptr,
+  durable_run(recovery_trace(1), path, /*snapshot_every=*/17, nullptr,
               &jsonl);
 
   ReplayEngine full;
@@ -394,7 +398,7 @@ TEST(Recovery, SnapshotPlusSuffixReplayEqualsFullReplay) {
 
 TEST(Recovery, CompactionPreservesRecoveredStateAndShrinksTheFile) {
   const std::string path = temp_path("compact.wal");
-  durable_run(recovery_trace(2), 1, path, /*snapshot_every=*/17, nullptr);
+  durable_run(recovery_trace(2), path, /*snapshot_every=*/17, nullptr);
 
   RecoverResult before;
   ASSERT_TRUE(recovery::recover_wal(path, before, nullptr));
@@ -422,7 +426,7 @@ TEST(Recovery, CompactionPreservesRecoveredStateAndShrinksTheFile) {
 TEST(Recovery, ColdStartResumeJustRunsDurably) {
   const Trace trace = recovery_trace(1);
   std::vector<std::vector<PlannedGroup>> clean_plans;
-  const SimResult clean = durable_run(trace, 1, temp_path("cold_ref.wal"), 9,
+  const SimResult clean = durable_run(trace, temp_path("cold_ref.wal"), 9,
                                       &clean_plans);
 
   const std::string path = temp_path("cold_start.wal");
@@ -431,11 +435,8 @@ TEST(Recovery, ColdStartResumeJustRunsDurably) {
   options.wal_path = path;
   options.sink.fsync = DurableSinkOptions::Fsync::kNone;
   options.sink.snapshot_every_records = 9;
-  MuriOptions muri_options;
-  muri_options.num_threads = 1;
   std::vector<std::vector<PlannedGroup>> plans;
-  PlanRecorder scheduler(std::make_unique<MuriScheduler>(muri_options),
-                         &plans);
+  PlanRecorder scheduler(std::make_unique<MuriScheduler>(), &plans);
   SimResult result;
   recovery::ResumeReport report;
   std::string error;
@@ -454,14 +455,12 @@ TEST(Recovery, ResumeDetectsDivergence) {
   // regenerated record that differs flags divergence instead of
   // corrupting the durable history.
   const std::string path = temp_path("diverge.wal");
-  durable_run(recovery_trace(1), 1, path, 0, nullptr);
+  durable_run(recovery_trace(1), path, 0, nullptr);
 
   recovery::ResumeOptions options;
   options.wal_path = path;
   options.sink.fsync = DurableSinkOptions::Fsync::kNone;
-  MuriOptions muri_options;
-  muri_options.num_threads = 1;
-  MuriScheduler scheduler(muri_options);
+  MuriScheduler scheduler;
   SimResult result;
   recovery::ResumeReport report;
   std::string error;
@@ -476,7 +475,7 @@ TEST(Recovery, ResumeAfterCompactionSkipsTheCoveredPrefix) {
   const Trace trace = recovery_trace(2);
   std::vector<std::vector<PlannedGroup>> clean_plans;
   const SimResult clean =
-      durable_run(trace, 1, temp_path("compact_ref.wal"), 11, &clean_plans);
+      durable_run(trace, temp_path("compact_ref.wal"), 11, &clean_plans);
 
   // Crash mid-run (prefix of the reference WAL), then compact the
   // surviving prefix before resuming.
@@ -499,11 +498,8 @@ TEST(Recovery, ResumeAfterCompactionSkipsTheCoveredPrefix) {
   options.wal_path = path;
   options.sink.fsync = DurableSinkOptions::Fsync::kNone;
   options.sink.snapshot_every_records = 11;
-  MuriOptions muri_options;
-  muri_options.num_threads = 1;
   std::vector<std::vector<PlannedGroup>> plans;
-  PlanRecorder scheduler(std::make_unique<MuriScheduler>(muri_options),
-                         &plans);
+  PlanRecorder scheduler(std::make_unique<MuriScheduler>(), &plans);
   SimResult result;
   recovery::ResumeReport report;
   std::string error;
@@ -523,72 +519,63 @@ TEST(Recovery, ResumeAfterCompactionSkipsTheCoveredPrefix) {
 // ---------------------------------------------------------------------------
 // The acceptance sweep: kill at EVERY record boundary, recover from
 // snapshot + suffix, and converge with the uninterrupted run — bit-exact
-// SimResult, identical plans, byte-identical WAL — for two seeds and
-// num_threads in {1, 4}.
+// SimResult, identical plans, byte-identical WAL — for two seeds.
 
 TEST(Recovery, KillAtEveryRecordBoundarySweepConverges) {
   for (const std::uint64_t seed : {1ull, 2ull}) {
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE("seed=" + std::to_string(seed) +
-                   " threads=" + std::to_string(threads));
-      const Trace trace = recovery_trace(seed);
-      const std::string tag =
-          std::to_string(seed) + "_" + std::to_string(threads);
-      const std::string clean_path = temp_path("sweep_clean_" + tag + ".wal");
-      std::vector<std::vector<PlannedGroup>> clean_plans;
-      const SimResult clean =
-          durable_run(trace, threads, clean_path, /*snapshot_every=*/13,
-                      &clean_plans);
-      const std::string clean_bytes = slurp(clean_path);
-      WalReadResult decoded = recovery::decode_wal(clean_bytes);
-      ASSERT_FALSE(decoded.torn);
-      ASSERT_GT(decoded.frames.size(), 50u);
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const Trace trace = recovery_trace(seed);
+    const std::string tag = std::to_string(seed);
+    const std::string clean_path = temp_path("sweep_clean_" + tag + ".wal");
+    std::vector<std::vector<PlannedGroup>> clean_plans;
+    const SimResult clean =
+        durable_run(trace, clean_path, /*snapshot_every=*/13, &clean_plans);
+    const std::string clean_bytes = slurp(clean_path);
+    WalReadResult decoded = recovery::decode_wal(clean_bytes);
+    ASSERT_FALSE(decoded.torn);
+    ASSERT_GT(decoded.frames.size(), 50u);
 
-      const std::string path = temp_path("sweep_" + tag + ".wal");
-      for (std::size_t boundary = 0; boundary <= decoded.frames.size();
-           ++boundary) {
-        // The WAL as a crash at this frame boundary leaves it. Adding
-        // half of the next frame exercises torn-tail truncation on the
-        // same boundaries at no extra simulation cost.
-        std::string prefix;
-        for (std::size_t i = 0; i < boundary; ++i) {
-          recovery::append_wal_frame(prefix, decoded.frames[i].kind,
-                                     decoded.frames[i].payload);
-        }
-        if (boundary % 3 == 0 && boundary < decoded.frames.size()) {
-          std::string next;
-          recovery::append_wal_frame(next, decoded.frames[boundary].kind,
-                                     decoded.frames[boundary].payload);
-          prefix += next.substr(0, next.size() / 2);
-        }
-        spit(path, prefix);
-
-        recovery::ResumeOptions options;
-        options.wal_path = path;
-        options.sink.fsync = DurableSinkOptions::Fsync::kNone;
-        options.sink.snapshot_every_records = 13;
-        MuriOptions muri_options;
-        muri_options.num_threads = threads;
-        std::vector<std::vector<PlannedGroup>> plans;
-        PlanRecorder scheduler(std::make_unique<MuriScheduler>(muri_options),
-                               &plans);
-        SimResult result;
-        recovery::ResumeReport report;
-        std::string error;
-        ASSERT_TRUE(recovery::resume_simulation(trace, scheduler,
-                                                faulty_cluster(), options,
-                                                result, report, &error))
-            << "boundary " << boundary << ": " << error;
-        ASSERT_FALSE(report.diverged) << "boundary " << boundary;
-
-        expect_same_result(clean, result);
-        ASSERT_EQ(plans.size(), clean_plans.size()) << "boundary " << boundary;
-        for (std::size_t i = 0; i < plans.size(); ++i) {
-          ASSERT_TRUE(same_plan(clean_plans[i], plans[i]))
-              << "boundary " << boundary << " plan " << i;
-        }
-        ASSERT_EQ(slurp(path), clean_bytes) << "boundary " << boundary;
+    const std::string path = temp_path("sweep_" + tag + ".wal");
+    for (std::size_t boundary = 0; boundary <= decoded.frames.size();
+         ++boundary) {
+      // The WAL as a crash at this frame boundary leaves it. Adding
+      // half of the next frame exercises torn-tail truncation on the
+      // same boundaries at no extra simulation cost.
+      std::string prefix;
+      for (std::size_t i = 0; i < boundary; ++i) {
+        recovery::append_wal_frame(prefix, decoded.frames[i].kind,
+                                   decoded.frames[i].payload);
       }
+      if (boundary % 3 == 0 && boundary < decoded.frames.size()) {
+        std::string next;
+        recovery::append_wal_frame(next, decoded.frames[boundary].kind,
+                                   decoded.frames[boundary].payload);
+        prefix += next.substr(0, next.size() / 2);
+      }
+      spit(path, prefix);
+
+      recovery::ResumeOptions options;
+      options.wal_path = path;
+      options.sink.fsync = DurableSinkOptions::Fsync::kNone;
+      options.sink.snapshot_every_records = 13;
+      std::vector<std::vector<PlannedGroup>> plans;
+      PlanRecorder scheduler(std::make_unique<MuriScheduler>(), &plans);
+      SimResult result;
+      recovery::ResumeReport report;
+      std::string error;
+      ASSERT_TRUE(recovery::resume_simulation(trace, scheduler,
+                                              faulty_cluster(), options,
+                                              result, report, &error))
+          << "boundary " << boundary << ": " << error;
+      ASSERT_FALSE(report.diverged) << "boundary " << boundary;
+
+      expect_same_result(clean, result);
+      ASSERT_EQ(plans.size(), clean_plans.size()) << "boundary " << boundary;
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        ASSERT_TRUE(same_plan(clean_plans[i], plans[i]))
+            << "boundary " << boundary << " plan " << i;
+      }
+      ASSERT_EQ(slurp(path), clean_bytes) << "boundary " << boundary;
     }
   }
 }

@@ -3,7 +3,7 @@
 
 Compares the BENCH_sched_round.json a CI run just produced against the
 checked-in bench/baselines/BENCH_sched_round.json and fails (exit 1) when
-any (config, jobs, threads) point regressed by more than the threshold.
+any (config, jobs) point regressed by more than the threshold.
 
 CI runners and the machine that produced the baseline differ in raw
 speed, so absolute times are not comparable. Each sweep file records
@@ -65,7 +65,7 @@ def load_points(path, key, strict=False):
         raise ValueError(f"{path}: lacks reference_seconds (--strict)")
     points = {}
     for p in doc.get("sweep", []):
-        ident = (p["config"], p["jobs"], p["threads"])
+        ident = (p["config"], p["jobs"])
         value = p.get(key)
         if value is None:
             if strict:
@@ -156,8 +156,8 @@ def main():
             secs / base[ident] / factor for secs, factor in runs)
         delta_ms = statistics.median(
             (secs - base[ident] * factor) * 1e3 for secs, factor in runs)
-        config, jobs, threads = ident
-        line = (f"  {config:<9} jobs={jobs:<4} threads={threads}  "
+        config, jobs = ident
+        line = (f"  {config:<9} jobs={jobs:<4}  "
                 f"{base[ident] * 1e3:8.3f} ms -> {seconds * 1e3:8.3f} ms  "
                 f"({normalized:.2f}x normalized)")
         if normalized > limit and delta_ms >= args.min_delta_ms:
