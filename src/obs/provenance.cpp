@@ -1,6 +1,7 @@
 #include "obs/provenance.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -34,18 +35,27 @@ void append_json_escaped(std::string& out, std::string_view s) {
   }
 }
 
+void append_json_integer(std::string& out, std::int64_t v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, r.ptr);
+}
+
 void append_json_double(std::string& out, double v) {
-  char buf[40];
   // Same contract as the trace exporter: integers plain (readable, no
   // exponent), everything else %.17g — exact for IEEE doubles and
   // deterministic for a given value, which byte-stability leans on.
+  // std::to_chars with general format and precision 17 writes the bytes
+  // of printf's %.17g without the locale and format-string parsing.
   if (v == static_cast<double>(static_cast<long long>(v)) && v > -1e15 &&
       v < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    append_json_integer(out, static_cast<std::int64_t>(v));
+    return;
   }
-  out += buf;
+  char buf[40];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 DecisionLog::Entry::~Entry() {
@@ -72,9 +82,7 @@ DecisionLog::Entry& DecisionLog::Entry::integer(const char* key,
   line_ += ",\"";
   line_ += key;
   line_ += "\":";
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  line_ += buf;
+  append_json_integer(line_, v);
   return *this;
 }
 
@@ -106,11 +114,9 @@ DecisionLog::Entry& DecisionLog::Entry::ids(
   line_ += ",\"";
   line_ += key;
   line_ += "\":[";
-  char buf[24];
   for (std::size_t i = 0; i < v.size(); ++i) {
     if (i != 0) line_ += ',';
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v[i]));
-    line_ += buf;
+    append_json_integer(line_, v[i]);
   }
   line_ += ']';
   return *this;
@@ -157,10 +163,7 @@ DecisionLog::Entry DecisionLog::entry(std::string_view type) {
   std::string line = "{\"type\":\"";
   append_json_escaped(line, type);
   line += "\",\"round\":";
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%lld",
-                static_cast<long long>(current_round()));
-  line += buf;
+  append_json_integer(line, current_round());
   return Entry(this, std::move(line));
 }
 

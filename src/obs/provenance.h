@@ -87,6 +87,9 @@ namespace muri::obs {
 // round-trippable %.17g.
 void append_json_double(std::string& out, double v);
 
+// Appends `v` to `out` as a plain decimal integer (the bytes of %lld).
+void append_json_integer(std::string& out, std::int64_t v);
+
 // Appends `s` to `out` escaped for the inside of a JSON string literal
 // (no surrounding quotes): `"` and `\` backslashed, newline and tab as
 // \n and \t, every other control byte as \u00XX. The repo's one JSON
