@@ -63,6 +63,7 @@ int main(int argc, char** argv) {
   const int jobs = flags.get_int("jobs", 60);
   const std::string fsync = flags.get("fsync", "interval");
   const int snapshot_every = flags.get_int("snapshot-every", 25);
+  warn_unread(flags);
 
   PhillyTraceOptions trace_options;
   trace_options.name = "recovery";

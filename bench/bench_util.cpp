@@ -133,6 +133,8 @@ void init_obs(int argc, const char* const* argv) {
       state.decisions != nullptr) {
     std::atexit(flush_obs);
   }
+  // The benches that call init_obs take no other flags.
+  warn_unread(flags);
 }
 
 obs::Tracer* obs_tracer() { return obs_state().tracer.get(); }

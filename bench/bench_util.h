@@ -40,7 +40,9 @@ namespace muri::bench {
 // binary gets schedule dumps without per-binary plumbing. With a tracer
 // installed, MURI_LOG warnings/errors are mirrored onto the trace
 // timeline. Files are written at normal process exit. With no flags,
-// both accessors stay null and nothing is recorded.
+// both accessors stay null and nothing is recorded. Every other flag is
+// reported as unused on stderr (warn_unread): a bench that calls
+// init_obs takes no flags of its own.
 void init_obs(int argc, const char* const* argv);
 
 // The process-wide sinks installed by init_obs (null when unset). Exposed

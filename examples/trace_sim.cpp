@@ -92,9 +92,7 @@ int main(int argc, char** argv) {
         flags.get_bool("known") || scheduler->needs_durations();
     options.record_series = flags.get_bool("series");
 
-    for (const std::string& name : flags.unread()) {
-      std::fprintf(stderr, "warning: unused flag --%s\n", name.c_str());
-    }
+    warn_unread(flags);
 
     std::printf("trace %s: %zu jobs, %.0f GPU-hours of work\n",
                 trace.name.c_str(), trace.jobs.size(),

@@ -89,4 +89,12 @@ std::vector<std::string> Flags::unread() const {
   return names;
 }
 
+int warn_unread(const Flags& flags, std::FILE* out) {
+  const std::vector<std::string> names = flags.unread();
+  for (const std::string& name : names) {
+    std::fprintf(out, "warning: unused flag --%s\n", name.c_str());
+  }
+  return static_cast<int>(names.size());
+}
+
 }  // namespace muri

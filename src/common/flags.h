@@ -3,6 +3,7 @@
 // Unknown flags are collected so callers can reject or ignore them.
 #pragma once
 
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
@@ -40,5 +41,11 @@ class Flags {
   mutable std::map<std::string, bool> read_;
   std::vector<std::string> positional_;
 };
+
+// Writes "warning: unused flag --<name>" to `out`, one line per flag of
+// `flags` that was provided but never read, and returns how many lines it
+// wrote. Call it after the last flag read, so a dead or misspelled flag is
+// reported instead of silently ignored.
+int warn_unread(const Flags& flags, std::FILE* out = stderr);
 
 }  // namespace muri

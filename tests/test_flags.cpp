@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "common/flags.h"
 
 namespace muri {
@@ -78,6 +81,33 @@ TEST(Flags, HasMarksAsRead) {
   const Flags f = parse({"--csv=/tmp/x"});
   EXPECT_TRUE(f.has("csv"));
   EXPECT_TRUE(f.unread().empty());
+}
+
+TEST(Flags, WarnUnreadWritesOneLinePerDeadFlag) {
+  const Flags f =
+      parse({"--wal=x.wal", "--threads=4", "--resume", "--seed", "3"});
+  EXPECT_EQ(f.get("wal"), "x.wal");
+  EXPECT_EQ(f.get_int("seed", 1), 3);
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(warn_unread(f, out), 2);
+  std::rewind(out);
+  std::string text;
+  for (int c = std::fgetc(out); c != EOF; c = std::fgetc(out)) {
+    text += static_cast<char>(c);
+  }
+  std::fclose(out);
+  EXPECT_EQ(text,
+            "warning: unused flag --resume\n"
+            "warning: unused flag --threads\n");
+  // Once every flag is read, nothing is written.
+  EXPECT_TRUE(f.get_bool("resume"));
+  EXPECT_EQ(f.get_int("threads", 0), 4);
+  std::FILE* quiet = std::tmpfile();
+  ASSERT_NE(quiet, nullptr);
+  EXPECT_EQ(warn_unread(f, quiet), 0);
+  EXPECT_EQ(std::ftell(quiet), 0);
+  std::fclose(quiet);
 }
 
 }  // namespace
