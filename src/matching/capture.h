@@ -1,15 +1,15 @@
 // Matching-round capture hook — the raw material of decision provenance.
 //
 // The multi-round grouping (Algorithm 1) makes its choices inside the
-// matching layer: which candidate pairs were offered to Blossom at what γ
-// edge weight, which were matched and merged into super-nodes, and which
-// survived a round unmatched. A `GroupingCapture` passed down from the
-// scheduler records exactly that, one `MatchingRoundRecord` per Blossom
-// round, so the provenance log (src/obs/provenance) can later answer "why
+// matching layer: which candidate pairs were offered to the matcher at
+// what γ edge weight, which were matched and merged into super-nodes, and
+// which survived a round unmatched. A `GroupingCapture` passed down from
+// the scheduler records exactly that, one `MatchingRoundRecord` per
+// matching round (class-count quotient or Blossom alike), so the provenance log (src/obs/provenance) can later answer "why
 // did job J end up grouped with K and not L".
 //
 // Capture is plan-neutral by construction: records are copied out of the
-// already-built matching graph and matching result after the fact, never
+// already-built stage graph and matching result after the fact, never
 // consulted by the algorithm, so a null capture pointer and a populated
 // one yield bit-identical groupings. Node member lists and edges are
 // indices local to the captured instance (the caller maps them to job
@@ -22,7 +22,7 @@
 
 namespace muri {
 
-// One Blossom round of one multi_round_grouping call.
+// One matching round of one multi_round_grouping call.
 struct MatchingRoundRecord {
   // A candidate edge offered to the matcher: nodes[u] ∪ nodes[v] with the
   // interleaving-efficiency weight γ(u ∪ v) > 0.
@@ -32,7 +32,7 @@ struct MatchingRoundRecord {
     double gamma = 0;
   };
 
-  // 0-based Blossom round within the grouping call (log₂k rounds total).
+  // 0-based matching round within the grouping call (log₂k rounds total).
   int stage = 0;
   // Member-index sets of each node entering this round (singletons in
   // round 0, merged super-nodes afterwards). Indices address the profile
@@ -50,7 +50,7 @@ struct MatchingRoundRecord {
   bool fallback = false;
 };
 
-// Every Blossom round of one multi_round_grouping call, in order.
+// Every matching round of one multi_round_grouping call, in order.
 struct GroupingCapture {
   std::vector<MatchingRoundRecord> rounds;
 };

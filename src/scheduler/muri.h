@@ -9,8 +9,9 @@
 //     cluster with max-size groups — bucket them by GPU demand (§4.2
 //     "Handling multi-GPU jobs"), and inside each bucket run the
 //     multi-round grouping: log₂k rounds of maximum-weight matching
-//     (Blossom) over interleaving-efficiency edge weights, merging matched
-//     pairs into super-nodes between rounds.
+//     over interleaving-efficiency edge weights, merging matched pairs
+//     into super-nodes between rounds. A round with few profile classes
+//     matches class counts (matching/quotient), the rest run Blossom.
 //  4. Emit interleaved groups (with the best — or, for the Fig. 11
 //     ablation, worst — stage ordering) ordered by priority, then by
 //     descending GPU demand for placement (§5).
@@ -76,7 +77,8 @@ struct GroupingStats {
   // Wall seconds spent building matching-graph edge weights, over every
   // bucket of the round.
   double graph_build_seconds = 0;
-  // Wall seconds inside Blossom matching, over every bucket of the round.
+  // Wall seconds solving the stage matchings (the class-count quotient,
+  // or Blossom with its graph fill), over every bucket of the round.
   double matching_seconds = 0;
   // Wall seconds in the round's remaining phases (the live SLO plane's
   // round breakdown): the initial priority sort, and group
@@ -92,8 +94,15 @@ struct GroupingStats {
   // pairs whose γ was evaluated. Their sum is every admissible pair.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
-  // Blossom invocations.
+  // Grouping stages matched: certified class-count solves plus Blossom
+  // runs.
   std::int64_t matchings_run = 0;
+  // Stages matched by a certified class-count solve (matching/quotient),
+  // and stages where that solve ran but was not certified, so Blossom
+  // matched them. The other matchings_run stages were not class-structured
+  // within the quotient's bounds.
+  std::int64_t quotient_solves = 0;
+  std::int64_t quotient_fallbacks = 0;
   // Grouping rounds that ended without a productive matching (no positive
   // γ edges, or Blossom matched zero pairs) and fell back to emitting the
   // current nodes as final groups.
@@ -106,6 +115,8 @@ struct GroupingStats {
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
     matchings_run += other.matchings_run;
+    quotient_solves += other.quotient_solves;
+    quotient_fallbacks += other.quotient_fallbacks;
     matching_fallbacks += other.matching_fallbacks;
   }
 };
@@ -122,7 +133,7 @@ class MuriScheduler final : public Scheduler {
 
   const MuriOptions& options() const noexcept { return options_; }
 
-  // Cumulative number of Blossom invocations (scalability accounting).
+  // Cumulative number of stage matchings (scalability accounting).
   std::int64_t matchings_run() const noexcept {
     return cumulative_stats_.matchings_run;
   }
@@ -157,11 +168,15 @@ class MuriScheduler final : public Scheduler {
 // affects the next one, so independent calls may run concurrently.
 // Within a call, γ is priced once per ordered pair of member-class
 // sequences, classes being bitwise-equal profiles; every later pair with
-// the same key reuses that value.
+// the same key reuses that value. Each stage is matched by
+// match_typed_graph (matching/quotient): a certified class-count solve
+// when the stage has few classes, Blossom otherwise; both reach the
+// maximum integer weight, and which job of a class meets which job of
+// another follows the quotient's fixed priority-order rule.
 // `stats` (may be null) receives timing and work counters.
-// `capture` (may be null) receives one MatchingRoundRecord per Blossom
-// round — nodes, positive edges, merges, survivors — copied out of the
-// assembled graph after the fact; populating it never changes the result
+// `capture` (may be null) receives one MatchingRoundRecord per matching
+// stage — nodes, positive edges, merges, survivors — copied out of the
+// stage graph after the fact; populating it never changes the result
 // (see matching/capture.h).
 std::vector<std::vector<int>> multi_round_grouping(
     const std::vector<ResourceVector>& profiles, int max_group_size,

@@ -144,6 +144,25 @@ class DiffBenchTest(unittest.TestCase):
         self.assertIn("diff_bench: 1 point(s) regressed more than 20% over "
                       "baseline", stderr)
 
+    def test_quality_columns_ride_along_and_never_gate(self):
+        base = sweep(BASE)
+        cur = sweep(BASE)
+        for p in base["sweep"]:
+            p.update(grouped_fraction=1.0, mean_gamma=0.5)
+        for p in cur["sweep"]:
+            p.update(classes=8, quotient_solves=2, quotient_fallbacks=0,
+                     grouped_fraction=0.5, mean_gamma=0.25)
+        code, out = self.run_gate(base, cur, "--strict")
+        self.assertEqual(code, 0, out)
+        self.assertIn("  bucket1   jobs=100     10.000 ms ->   10.000 ms  "
+                      "(1.00x normalized)  [classes 8, quotient 2 "
+                      "(0 fallbacks), grouped 1.000 -> 0.500, mean gamma "
+                      "0.5000 -> 0.2500]\n", out)
+        # A baseline without the columns prints the current values only.
+        code, out = self.run_gate(sweep(BASE), cur, "--strict")
+        self.assertEqual(code, 0, out)
+        self.assertIn("grouped 0.500, mean gamma 0.2500]", out)
+
 
 if __name__ == "__main__":
     unittest.main()

@@ -506,6 +506,12 @@ TEST(MuriMetrics, RegistryReproducesGroupingStatsExactly) {
                    static_cast<double>(cum.cache_misses));
   EXPECT_DOUBLE_EQ(reg.counter("muri_sched_matchings_total", "").value(),
                    static_cast<double>(cum.matchings_run));
+  EXPECT_DOUBLE_EQ(
+      reg.counter("muri_sched_quotient_solves_total", "").value(),
+      static_cast<double>(cum.quotient_solves));
+  // Model-zoo profiles: every stage this trace matches has few classes.
+  EXPECT_EQ(cum.quotient_solves, cum.matchings_run);
+  EXPECT_EQ(cum.quotient_fallbacks, 0);
   EXPECT_GT(reg.counter("muri_sched_rounds_total", "").value(), 0.0);
 
   // The scheduler's round spans landed on its track.

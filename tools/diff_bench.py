@@ -33,6 +33,12 @@ file's value and the gate is exactly the single-sweep gate.
         [--key=round_seconds] [--strict] baseline.json current.json \
         [current2.json ...]
 
+Each point's line also carries the sweep's plan-quality and solver
+columns when the files have them, for the reader and never gated:
+stage-0 profile classes, stages the class-count quotient matched and its
+uncertified fallbacks, the share of jobs grouped, and the mean γ of the
+plan's groups (baseline -> current where the baseline has them).
+
 Exit status: 0 clean, 1 regression / missing or unreadable baseline /
 malformed input, 2 when the two files share no sweep points (wrong
 baseline checked in). A point missing the compared metric is only a
@@ -52,9 +58,14 @@ import json
 import statistics
 import sys
 
+# Sweep columns printed beside each point's round time (see above).
+COLUMNS = ("classes", "quotient_solves", "quotient_fallbacks",
+           "grouped_fraction", "mean_gamma")
+
 
 def load_points(path, key, strict=False):
-    """Returns (points, reference_seconds or None) of one sweep file."""
+    """Returns (points, reference_seconds or None, columns) of one sweep
+    file; columns maps a point to the COLUMNS it carries."""
     with open(path) as f:
         doc = json.load(f)
     reference = doc.get("reference_seconds")
@@ -64,8 +75,10 @@ def load_points(path, key, strict=False):
     if reference is None and strict:
         raise ValueError(f"{path}: lacks reference_seconds (--strict)")
     points = {}
+    columns = {}
     for p in doc.get("sweep", []):
         ident = (p["config"], p["jobs"])
+        columns[ident] = {k: p[k] for k in COLUMNS if k in p}
         value = p.get(key)
         if value is None:
             if strict:
@@ -79,7 +92,25 @@ def load_points(path, key, strict=False):
         points[ident] = float(value)
     if not points:
         raise ValueError(f"{path}: no sweep points with metric {key!r}")
-    return points, reference
+    return points, reference, columns
+
+
+def column_note(base, cur):
+    """The COLUMNS of one point as a line suffix; empty without them."""
+    if not cur:
+        return ""
+    parts = []
+    if "classes" in cur:
+        parts.append(f"classes {cur['classes']}")
+    if "quotient_solves" in cur:
+        parts.append(f"quotient {cur['quotient_solves']} "
+                     f"({cur.get('quotient_fallbacks', 0)} fallbacks)")
+    for key, label, fmt in (("grouped_fraction", "grouped", ".3f"),
+                            ("mean_gamma", "mean gamma", ".4f")):
+        if key in cur:
+            old = f"{base[key]:{fmt}} -> " if key in base else ""
+            parts.append(f"{label} {old}{cur[key]:{fmt}}")
+    return "  [" + ", ".join(parts) + "]"
 
 
 def main():
@@ -101,7 +132,8 @@ def main():
     args = parser.parse_args()
 
     try:
-        base, base_ref = load_points(args.baseline, args.key, args.strict)
+        base, base_ref, base_columns = load_points(args.baseline, args.key,
+                                                   args.strict)
     except OSError as e:
         print(f"diff_bench: baseline missing or unreadable: {e}\n"
               f"diff_bench: commit a baseline at {args.baseline} "
@@ -119,9 +151,9 @@ def main():
                   file=sys.stderr)
             return 1
 
-    current = set().union(*(cur for cur, _ in sweeps))
+    current = set().union(*(cur for cur, _, _ in sweeps))
     shared = sorted(set(base) & current)
-    if not shared or any(not set(base) & set(cur) for cur, _ in sweeps):
+    if not shared or any(not set(base) & set(cur) for cur, _, _ in sweeps):
         print("diff_bench: baseline and current share no sweep points "
               "(stale baseline?)", file=sys.stderr)
         return 2
@@ -133,8 +165,8 @@ def main():
     # baseline's, or its own median ratio when a file lacks the reference.
     factors = []
     use_reference = base_ref is not None and all(
-        ref is not None for _, ref in sweeps)
-    for cur, cur_ref in sweeps:
+        ref is not None for _, ref, _ in sweeps)
+    for cur, cur_ref, _ in sweeps:
         if use_reference:
             factors.append(cur_ref / base_ref)
         else:
@@ -150,7 +182,8 @@ def main():
           f"limit {limit:.2f}x after normalization")
     for ident in shared:
         runs = [(cur[ident], factor)
-                for (cur, _), factor in zip(sweeps, factors) if ident in cur]
+                for (cur, _, _), factor in zip(sweeps, factors)
+                if ident in cur]
         seconds = statistics.median(secs for secs, _ in runs)
         normalized = statistics.median(
             secs / base[ident] / factor for secs, factor in runs)
@@ -163,7 +196,9 @@ def main():
         if normalized > limit and delta_ms >= args.min_delta_ms:
             regressed.append(ident)
             line += "  REGRESSION"
-        print(line)
+        cur_columns = next(cols[ident] for cur, _, cols in sweeps
+                           if ident in cur)
+        print(line + column_note(base_columns.get(ident, {}), cur_columns))
 
     if regressed:
         print(f"diff_bench: {len(regressed)} point(s) regressed more than "
