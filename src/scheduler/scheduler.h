@@ -49,12 +49,6 @@ struct SchedulerContext {
   // failed and blacklisted machines excluded). -1 means "no fault domain
   // information" and falls back to total_gpus.
   int available_gpus = -1;
-  // Jobs whose lifecycle changed since the previous round (arrived,
-  // finished, preempted, evicted, faulted), sorted ascending and
-  // deduplicated — the simulator's dirty set. Null means "unknown".
-  // No scheduler reads it to decide anything; it only feeds round_start's
-  // "dirty" field in the decision log when present.
-  const std::vector<JobId>* dirty_jobs = nullptr;
 
   // The GPU capacity a scheduler may plan against this round.
   int capacity() const noexcept {

@@ -189,7 +189,6 @@ void ExecutionEngine::submit(const Job& job, std::string name,
   }
   ++active_;
   job_instant(s, "submit");
-  dirty_jobs_.push_back(job.id);
   queue_changed_ = true;
 }
 
@@ -209,7 +208,6 @@ bool ExecutionEngine::cancel(JobId id, Time at, const char* reason) {
   s->phase = JobPhase::kCancelled;
   s->end_time = at;
   --active_;
-  dirty_jobs_.push_back(id);
   queue_changed_ = true;
   if (options_.decisions != nullptr) {
     options_.decisions->entry("job_cancel")
@@ -378,7 +376,6 @@ void ExecutionEngine::leave_running(JobState& s, JobPhase to) {
   s.acct = nullptr;
   s.phase = to;
   --running_;
-  dirty_jobs_.push_back(s.job.id);
 }
 
 ExecutionEngine::RunningGroup* ExecutionEngine::leave_group(
@@ -707,12 +704,6 @@ void ExecutionEngine::run_round() {
   ctx.durations_known = options_.durations_known;
   // Failed and blacklisted machines are out of the allocatable pool.
   ctx.available_gpus = cluster_.available_gpus();
-  // The lifecycle delta since the previous round, deduplicated and sorted
-  // so the set is deterministic for the round_start log field.
-  std::sort(dirty_jobs_.begin(), dirty_jobs_.end());
-  dirty_jobs_.erase(std::unique(dirty_jobs_.begin(), dirty_jobs_.end()),
-                    dirty_jobs_.end());
-  ctx.dirty_jobs = &dirty_jobs_;
 
   const auto t_schedule = std::chrono::steady_clock::now();
   const std::vector<PlannedGroup> plan = scheduler_.schedule(queue, ctx);
@@ -733,8 +724,6 @@ void ExecutionEngine::run_round() {
                        static_cast<double>(plan.size()), "round",
                        static_cast<double>(round_id)));
   }
-  // Displacements recorded by place() belong to the *next* round's delta.
-  dirty_jobs_.clear();
   place(plan);
 
   // Post-round wait verdicts: the "wait" record classifies every job the

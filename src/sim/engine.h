@@ -287,11 +287,7 @@ class ExecutionEngine {
   std::int64_t finished_ = 0;
   std::int64_t rounds_ = 0;
   double scheduler_wall_ms_ = 0;
-  // The lifecycle delta handed to the scheduler as ctx.dirty_jobs
-  // (includes displacements); queue_changed_ is the narrower round
-  // trigger.
-  std::vector<JobId> dirty_jobs_;
-  bool queue_changed_ = false;
+  bool queue_changed_ = false;  // see dirty()
 
   // Metrics: counters flow through the caller's registry (or a private
   // one) and are read back as per-run deltas at finalize.
