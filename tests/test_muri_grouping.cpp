@@ -362,7 +362,7 @@ TEST(MultiRoundGrouping, GroupDigestIsPinnedOnZooQueues) {
   EXPECT_EQ(queues.size(), 11u);
   // Stage 1 merged pairs into groups of three or four somewhere.
   EXPECT_GT(grouped, 0);
-  EXPECT_EQ(digest, 0x4562ddead7f0d81full);
+  EXPECT_EQ(digest, 0x2efdbf144a9955ffull);
 }
 
 TEST(MuriPlan, InterleavedGroupsCarryFullSchedules) {
