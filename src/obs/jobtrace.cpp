@@ -496,8 +496,8 @@ namespace {
 bool folded_type(std::string_view type) {
   static constexpr std::string_view kFolded[] = {
       "sim_start", "daemon_start", "arrival", "job_submit", "job_restore",
-      "group", "wait", "placement", "degraded_continue", "straggler",
-      "restart", "preempt", "evict", "fault", "finish", "job_cancel"};
+      "wait", "placement", "degraded_continue", "straggler", "restart",
+      "preempt", "evict", "fault", "finish", "job_cancel"};
   return std::find(std::begin(kFolded), std::end(kFolded), type) !=
          std::end(kFolded);
 }
@@ -526,15 +526,6 @@ void JobTraceLog::fold(const JsonValue& v) {
     if (job >= 0) submitted(job, t);
   } else if (type == "job_restore") {
     if (job >= 0) submitted(job, t, /*restored=*/true);
-  } else if (type == "group") {
-    if (id_array_field(v, "jobs", ids)) {
-      if (round != gamma_round_) {
-        gamma_round_ = round;
-        round_gammas_.clear();
-      }
-      std::sort(ids.begin(), ids.end());
-      round_gammas_[std::move(ids)] = num_field(v, "gamma", 1.0);
-    }
   } else if (type == "wait") {
     const JsonValue& buckets = v.at("bucket");
     if (id_array_field(v, "job", ids) && buckets.is_array() &&
@@ -549,13 +540,7 @@ void JobTraceLog::fold(const JsonValue& v) {
     }
   } else if (type == "placement") {
     if (id_array_field(v, "jobs", ids)) {
-      std::vector<std::int64_t> key = ids;
-      std::sort(key.begin(), key.end());
-      double gamma = 1.0;
-      if (round == gamma_round_) {
-        const auto it = round_gammas_.find(key);
-        if (it != round_gammas_.end()) gamma = it->second;
-      }
+      const double gamma = num_field(v, "gamma", 1.0);
       const std::string mode = str_field(v, "mode");
       for (const std::int64_t id : ids) {
         placed(id, t, round, ids, gamma, mode);

@@ -47,9 +47,11 @@
 // `muri-report timeline` and `muri-report jobs`. A sim_start record
 // starts the fold over, so a log of several runs folds to its last run.
 // The fold leans on the "wait" (per-round verdicts for every waiting job)
-// and "straggler" (per-job factor changes) records and on the
-// "restart_penalty" field of sim_start/daemon_start (older logs fold
-// with a zero gate). Records without a non-negative integer job id are
+// and "straggler" (per-job factor changes) records, on the "gamma" field
+// of interleaved placements (absent: γ 1), and on the "restart_penalty"
+// field of sim_start/daemon_start (older logs fold with a zero gate). It
+// reads state-tier records only (provenance.h), so a WAL folds to the
+// timelines of the full log. Records without a non-negative integer job id are
 // ignored.
 //
 // All renderers are byte-stable: a fixed-seed run produces the same
@@ -288,9 +290,6 @@ class JobTraceLog : public DecisionLog::Sink {
   std::map<std::int64_t, State> jobs_;
   MetricsRegistry* metrics_ = nullptr;
   double restart_penalty_ = 0;
-  // The current round's predicted γ per group, keyed by sorted members.
-  std::map<std::vector<std::int64_t>, double> round_gammas_;
-  std::int64_t gamma_round_ = -1;
   std::array<double, kNumSpanKinds> totals_{};
   std::int64_t finished_jobs_ = 0;
 };

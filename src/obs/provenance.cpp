@@ -639,6 +639,9 @@ std::string render_record(const JsonValue& rec, std::int64_t focus_job) {
           fmt_int_array(rec.at("jobs")) + " on machines " +
           fmt_int_array(rec.at("machines")) + " (" +
           fmt_num(rec.at("gpus").number) + " GPUs)";
+    if (rec.at("gamma").is_number()) {
+      out += " gamma=" + fmt_num(rec.at("gamma").number);
+    }
   } else if (type == "placement_skip") {
     out = "t=" + fmt_num(rec.at("t").number) + " could not place " +
           fmt_int_array(rec.at("jobs")) + " (" + rec.at("reason").string +

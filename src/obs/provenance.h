@@ -42,6 +42,7 @@
 //   deferred      jobs:[ids], reason                   (beyond the prefix)
 //   round_end     groups, admitted, rejected, contended
 //   placement     t, jobs:[ids], gpus, mode, machines:[ids], owner
+//                 [, gamma]   (interleaved groups: the γ the plan priced)
 //   placement_skip t, jobs:[ids], gpus, reason [, available_gpus]
 //                 (no_capacity only: GPUs in the allocatable pool, i.e.
 //                 on machines neither down nor on probation)

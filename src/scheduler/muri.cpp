@@ -620,7 +620,6 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
   struct Planned {
     PlannedGroup group;
     double priority;
-    double gamma;
   };
   std::vector<Planned> planned;
   std::vector<ResourceVector> profiles;
@@ -677,7 +676,6 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
         max_gpus = std::max(max_gpus, v.num_gpus);
       }
       g.num_gpus = max_gpus;
-      double gamma = 1.0;  // a solo job's interleaving efficiency
       if (g.members.size() == 1) {
         g.mode = GroupMode::kExclusive;
       } else {
@@ -693,10 +691,10 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
         g.slots = plan.slots;
         g.offsets = plan.offsets;
         g.planned_period = plan.period;
-        gamma = plan.efficiency;
+        g.gamma = plan.efficiency;
         ++groups_formed;
       }
-      planned.push_back({std::move(g), best_priority, gamma});
+      planned.push_back({std::move(g), best_priority});
     }
     last_round_stats_.admission_seconds += seconds_since(t_assembly);
   }
@@ -722,7 +720,7 @@ std::vector<PlannedGroup> MuriScheduler::schedule(
           .integer("gpus", p.group.num_gpus)
           .str("mode", p.group.mode == GroupMode::kExclusive ? "exclusive"
                                                              : "interleaved")
-          .num("gamma", p.gamma)
+          .num("gamma", p.group.gamma)
           .num("priority", p.priority)
           .raw("admitted", fits ? "true" : "false");
       if (fits) {

@@ -85,6 +85,11 @@ struct PlannedGroup {
   // simulator charges a mis-planning penalty proportional to the relative
   // gap (this is how profiling noise degrades performance, Fig. 14).
   Duration planned_period = 0;
+  // The interleaving efficiency the scheduler priced the group at: the
+  // plan's γ for a Muri interleaved group, 1 otherwise (a solo job's γ;
+  // the baselines do not price sharing). The engine records it on the
+  // group's placement.
+  double gamma = 1.0;
 };
 
 class Scheduler {

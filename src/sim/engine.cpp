@@ -814,13 +814,15 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
     }
     if (decisions != nullptr) {
       std::vector<int> machine_ids(rg.machines.begin(), rg.machines.end());
-      decisions->entry("placement")
-          .num("t", now_)
+      auto e = decisions->entry("placement");
+      e.num("t", now_)
           .ids("jobs", g.members)
           .integer("gpus", g.num_gpus)
           .str("mode", mode_name(g.mode))
           .ints("machines", machine_ids)
           .integer("owner", static_cast<std::int64_t>(owner));
+      // The priced γ, so the jobtrace fold needs no explanation record.
+      if (g.mode == GroupMode::kInterleaved) e.num("gamma", g.gamma);
     }
     running_groups_.emplace(owner, std::move(rg));
     for (JobId id : g.members) placed.insert(id);
