@@ -572,12 +572,8 @@ void JobTraceLog::fold(const JsonValue& v) {
 }
 
 void JobTraceLog::on_record(std::string_view line) {
-  // DecisionLog::entry() opens every line with {"type":"<type>", so a
-  // record the fold does not read is skipped unparsed.
-  constexpr std::string_view kHead = "{\"type\":\"";
-  if (line.substr(0, kHead.size()) != kHead) return;
-  const std::string_view rest = line.substr(kHead.size());
-  if (!folded_type(rest.substr(0, rest.find('"')))) return;
+  // A record the fold does not read is skipped unparsed.
+  if (!folded_type(record_type(line))) return;
   JsonValue v;
   if (parse_json(line, v)) fold(v);
 }

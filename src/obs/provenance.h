@@ -27,46 +27,57 @@
 //    Perfetto timeline and a provenance log index into each other.
 //
 // Record catalog (field "type"; every record also carries integer
-// "round"):
+// "round"). Each type belongs to one tier, tagged below and fixed by
+// kExplanationRecordTypes: [state] records are what recovery, resume,
+// replay and the jobtrace fold read; [explain] records say why a round
+// decided what it did. The DecisionLog keeps both tiers; the durable WAL
+// (src/recovery) keeps the state tier only.
 //
-//   sim_start     t, jobs, machines, gpus, interval [, restart_penalty]
-//                                                    (run lifecycle)
-//   arrival       t, job, gpus
-//   round_start   scheduler, policy, queue, capacity
-//   priority      policy, job:[ids], score:[doubles]   (queue order)
-//   bucket        gpus, jobs:[ids]                     (candidate set)
-//   match_round   gpus, stage, nodes:[[ids]], edges:[[u,v,gamma]],
-//                 matched:[[u,v]], unmatched:[node], fallback
-//   group         jobs:[ids], gpus, mode, gamma, priority, admitted,
-//                 reason (rejections only), budget_left
-//   deferred      jobs:[ids], reason                   (beyond the prefix)
-//   round_end     groups, admitted, rejected, contended
-//   placement     t, jobs:[ids], gpus, mode, machines:[ids], owner
+//   sim_start     [state] t, jobs, machines, gpus, interval
+//                 [, restart_penalty]                  (run lifecycle)
+//   arrival       [state] t, job, gpus
+//   round_start   [state] scheduler, policy, queue, capacity
+//   priority      [explain] policy, job:[ids], score:[doubles]
+//                 (queue order)
+//   bucket        [explain] gpus, jobs:[ids]           (candidate set)
+//   match_round   [explain] gpus, stage, nodes:[[ids]],
+//                 edges:[[u,v,gamma]], matched:[[u,v]], unmatched:[node],
+//                 fallback
+//   group         [explain] jobs:[ids], gpus, mode, gamma, priority,
+//                 admitted, reason (rejections only), budget_left
+//   deferred      [explain] jobs:[ids], reason         (beyond the prefix)
+//   round_end     [state] groups, admitted, rejected, contended
+//   placement     [state] t, jobs:[ids], gpus, mode, machines:[ids], owner
 //                 [, gamma]   (interleaved groups: the γ the plan priced)
-//   placement_skip t, jobs:[ids], gpus, reason [, available_gpus]
-//                 (no_capacity only: GPUs in the allocatable pool, i.e.
-//                 on machines neither down nor on probation)
-//   preempt       t, job, reason
-//   restart       t, job, reason
-//   evict         t, job, machine, reason
-//   fault         t, job, reason
-//   machine_down  t, machine                          (fault domains)
-//   machine_up    t, machine
-//   degraded_continue t, jobs:[ids], gamma [, mode]
-//   finish        t, job, jct, queueing, running, restart_overhead,
-//                 preemptions   (queueing counts from engine admission)
-//   sim_end       t, makespan, finished, unfinished
-//   exec_group    names:[strings], slots, offsets, mode  (live executor)
-//   exec_result   names:[strings], gamma, killed
-//   job_submit    t, job, model, gpus, iterations [, name]  (service daemon)
-//   job_cancel    t, job, reason
-//   job_progress  t, job, done          (graceful-shutdown checkpoint)
-//   job_restore   t, job, done          (WAL recovery re-admission)
-//   daemon_start  t, machines, gpus [, resumed, restart_penalty]
-//   daemon_stop   t [, reason]
-//   wait          t, job:[ids], bucket:[strings]  (per-job tracing; one
-//                 post-round verdict per waiting job, ids ascending)
-//   straggler     t, job, factor        (period-inflation change)
+//   placement_skip [explain] t, jobs:[ids], gpus, reason
+//                 [, available_gpus] (no_capacity only: GPUs in the
+//                 allocatable pool, i.e. on machines neither down nor on
+//                 probation)
+//   preempt       [state] t, job, reason
+//   restart       [state] t, job, reason
+//   evict         [state] t, job, machine, reason
+//   fault         [state] t, job, reason
+//   machine_down  [state] t, machine                   (fault domains)
+//   machine_up    [state] t, machine
+//   degraded_continue [state] t, jobs:[ids], gamma [, mode]
+//   finish        [state] t, job, jct, queueing, running,
+//                 restart_overhead, preemptions
+//                 (queueing counts from engine admission)
+//   sim_end       [state] t, makespan, finished, unfinished
+//   exec_group    [state] names:[strings], slots, offsets, mode
+//                 (live executor)
+//   exec_result   [state] names:[strings], gamma, killed
+//   job_submit    [state] t, job, model, gpus, iterations [, name]
+//                 (service daemon)
+//   job_cancel    [state] t, job, reason
+//   job_progress  [state] t, job, done    (graceful-shutdown checkpoint)
+//   job_restore   [state] t, job, done    (WAL recovery re-admission)
+//   daemon_start  [state] t, machines, gpus [, resumed, restart_penalty]
+//   daemon_stop   [state] t [, reason]
+//   wait          [state] t, job:[ids], bucket:[strings]  (per-job
+//                 tracing; one post-round verdict per waiting job, ids
+//                 ascending)
+//   straggler     [state] t, job, factor  (period-inflation change)
 //
 // Edge/matched indices address the sibling "nodes" arrays of the same
 // record; everything else is in job ids.
@@ -97,6 +108,32 @@ void append_json_integer(std::string& out, std::int64_t v);
 // string escaper: the DecisionLog, trace, metrics, report and daemon
 // writers all use it.
 void append_json_escaped(std::string& out, std::string_view s);
+
+// The explanation tier of the record catalog above; every other type,
+// including any type not in the catalog, is state. One fixed table, no
+// option: a WAL holds exactly the state-tier subsequence of its log.
+inline constexpr std::string_view kExplanationRecordTypes[] = {
+    "priority", "bucket", "match_round", "group", "deferred",
+    "placement_skip"};
+
+constexpr bool is_explanation_record(std::string_view type) {
+  for (const std::string_view t : kExplanationRecordTypes) {
+    if (t == type) return true;
+  }
+  return false;
+}
+
+// The type of a committed record line, read from the head every
+// DecisionLog::entry() line opens with ({"type":"<type>",...) without
+// parsing the line; "" for a line without that head.
+constexpr std::string_view record_type(std::string_view line) {
+  constexpr std::string_view kHead = "{\"type\":\"";
+  if (line.substr(0, kHead.size()) != kHead) return {};
+  const std::string_view rest = line.substr(kHead.size());
+  const std::size_t end = rest.find('"');
+  return end == std::string_view::npos ? std::string_view{}
+                                       : rest.substr(0, end);
+}
 
 class DecisionLog {
  public:

@@ -151,6 +151,11 @@ void DurableSink::crash_now(std::string_view next_payload) {
 }
 
 void DurableSink::on_record(std::string_view line) {
+  // The WAL keeps the state tier only (obs/provenance.h). An explanation
+  // record takes no ordinal, so fsync and snapshot cadence, crash points,
+  // stop_after_records, boundary_hook and resume verification all count
+  // state records.
+  if (obs::is_explanation_record(obs::record_type(line))) return;
   ++ordinal_;
   if (options_.stop_after_records >= 0 &&
       ordinal_ > options_.stop_after_records) {

@@ -1,12 +1,14 @@
 // Durable write path for the DecisionLog, and crash recovery over it
 // (DESIGN.md "Durability and recovery").
 //
-// DurableSink implements obs::DecisionLog::Sink: every record the log
-// commits is framed (wal.h), appended to a WAL file, and made durable
-// under a configurable fsync policy. At a configurable cadence it also
-// folds the stream into a ReplayState (replay.h) and appends a snapshot
-// frame, so recovery reads the last snapshot plus the record suffix
-// instead of the whole log.
+// DurableSink implements obs::DecisionLog::Sink: every state-tier record
+// the log commits (obs/provenance.h; explanation records stay in memory)
+// is framed (wal.h), appended to a WAL file, and made durable under a
+// configurable fsync policy. At a configurable cadence it also folds the
+// stream into a ReplayState (replay.h) and appends a snapshot frame, so
+// recovery reads the last snapshot plus the record suffix instead of the
+// whole log. Record ordinals, and with them every count below, number
+// state records only.
 //
 // Recovery leans on the determinism the DecisionLog already guarantees:
 // a fixed-seed run regenerates the exact same byte sequence of records.

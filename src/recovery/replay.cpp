@@ -124,6 +124,9 @@ bool apply_record(ReplayState& state, const JsonValue& rec,
     return fail("record missing \"type\"/\"round\"");
   }
   const std::string& type = type_v.string;
+  // Explanation records carry no state; skipped uncounted, they leave a
+  // full log and its state-tier WAL replaying to equal states.
+  if (obs::is_explanation_record(type)) return true;
   const std::int64_t round = as_int(round_v);
   ++state.records;
   state.round = std::max(state.round, round);
@@ -241,10 +244,10 @@ bool apply_record(ReplayState& state, const JsonValue& rec,
     drop_running_job(state, job);
     state.arrived.erase(job);
   }
-  // Every other type (priority, bucket, match_round, group, deferred,
-  // round_end, placement_skip, degraded_continue, exec_*, job_progress,
-  // job_restore, daemon_start, daemon_stop) carries no state replay
-  // tracks beyond the counters already bumped.
+  // Every other state type (round_end, degraded_continue, exec_*,
+  // job_progress, job_restore, daemon_start, daemon_stop, wait,
+  // straggler) carries no state replay tracks beyond the counters
+  // already bumped.
   return true;
 }
 

@@ -46,7 +46,7 @@ struct ReplayState {
   // Lifecycle. `runs` counts sim_start records (logs may carry several
   // runs back to back; each sim_start resets the per-run fields below).
   std::int64_t runs = 0;
-  std::int64_t records = 0;    // records folded in
+  std::int64_t records = 0;    // state-tier records folded in
   std::int64_t round = 0;      // highest round id seen
   double sim_time = 0;         // latest simulated "t"
   bool run_complete = false;   // sim_end seen
@@ -90,7 +90,9 @@ struct ReplayState {
   double p99_jct() const;
 };
 
-// Folds one parsed record into `state`. Unknown record types only bump
+// Folds one parsed record into `state`. Explanation-tier records
+// (obs/provenance.h) are skipped without touching any counter, so a full
+// log and its WAL fold to equal states. Unknown record types only bump
 // the record/round counters (forward compatibility, mirroring the
 // validator). False with `error` when a known type is missing the fields
 // replay depends on.

@@ -11,6 +11,10 @@
 // stream after a projection that drops placement_skip.available_gpus and
 // rounds the finish record's queueing/running/restart_overhead to 9
 // significant digits, and the jobs report over its unprojected stream.
+//
+// The same four runs also discharge the WAL's proof obligation (DESIGN.md
+// "What the WAL keeps"): the state-tier subsequence of each log, which is
+// what a WAL holds, replays and folds exactly like the full log.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,12 +23,14 @@
 #include <regex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "job/trace.h"
 #include "obs/jobtrace.h"
 #include "obs/json.h"
 #include "obs/provenance.h"
 #include "obs/trace.h"
+#include "recovery/replay.h"
 #include "recovery/wal.h"
 #include "scheduler/baselines.h"
 #include "scheduler/muri.h"
@@ -98,11 +104,17 @@ void add_jobs_digests(const std::string& name,
   out[name + ".jobs_json"] = digest(obs::jobs_report_json(ts));
 }
 
+// One golden run: the digests it pins and the decision log they came
+// from.
+struct GoldenRun {
+  std::string name;
+  std::map<std::string, std::string> digests;
+  std::string jsonl;
+};
+
 // One simulator run with every observability hook attached.
-std::map<std::string, std::string> sim_digests(const std::string& name,
-                                               const Trace& trace,
-                                               Scheduler& scheduler,
-                                               SimOptions options) {
+GoldenRun sim_digests(const std::string& name, const Trace& trace,
+                      Scheduler& scheduler, SimOptions options) {
   obs::Tracer tracer;
   obs::DecisionLog log;
   obs::JobTraceLog jobtrace;
@@ -121,7 +133,7 @@ std::map<std::string, std::string> sim_digests(const std::string& name,
   // The live recorder carries the same whole-life facts as the fold.
   EXPECT_EQ(obs::jobs_report_csv(jobtrace.timelines()),
             obs::jobs_report_csv(folded));
-  return digests;
+  return {name, std::move(digests), log.jsonl()};
 }
 
 Trace philly_trace(int jobs) {
@@ -135,7 +147,7 @@ Trace philly_trace(int jobs) {
   return generate_philly_like(trace_options);
 }
 
-TEST(Golden, MuriLWithJobAndMachineFaultsAndStragglers) {
+GoldenRun muri_l_faults_run() {
   SimOptions sim;
   sim.cluster.num_machines = 8;
   sim.cluster.gpus_per_machine = 8;
@@ -147,11 +159,10 @@ TEST(Golden, MuriLWithJobAndMachineFaultsAndStragglers) {
   sim.machine_faults.straggler_rate_per_hour = 0.5;
   sim.max_time = 14 * 24 * 3600;
   MuriScheduler scheduler;
-  expect_digests(sim_digests("muri_l_faults", philly_trace(300), scheduler,
-                             sim));
+  return sim_digests("muri_l_faults", philly_trace(300), scheduler, sim);
 }
 
-TEST(Golden, MuriSOnTestbedPrefix) {
+GoldenRun muri_s_testbed_run() {
   Trace trace = testbed_trace();
   trace.jobs.resize(120);
   SimOptions sim;
@@ -159,15 +170,25 @@ TEST(Golden, MuriSOnTestbedPrefix) {
   MuriOptions opt;
   opt.durations_known = true;
   MuriScheduler scheduler(opt);
-  expect_digests(sim_digests("muri_s_testbed", trace, scheduler, sim));
+  return sim_digests("muri_s_testbed", trace, scheduler, sim);
 }
 
-TEST(Golden, AntManUncoordinated) {
+GoldenRun antman_run() {
   SimOptions sim;
   AntManScheduler scheduler;
-  expect_digests(sim_digests("antman", zero_arrivals(philly_trace(120)),
-                             scheduler, sim));
+  return sim_digests("antman", zero_arrivals(philly_trace(120)), scheduler,
+                     sim);
 }
+
+TEST(Golden, MuriLWithJobAndMachineFaultsAndStragglers) {
+  expect_digests(muri_l_faults_run().digests);
+}
+
+TEST(Golden, MuriSOnTestbedPrefix) {
+  expect_digests(muri_s_testbed_run().digests);
+}
+
+TEST(Golden, AntManUncoordinated) { expect_digests(antman_run().digests); }
 
 // The two fields the simulator and the pre-merge daemon engine computed
 // differently: placement_skip.available_gpus is dropped and the finish
@@ -204,7 +225,7 @@ std::string project_daemon_stream(const std::string& jsonl) {
   return out;
 }
 
-TEST(Golden, DaemonManualReplayWithGracefulStop) {
+void daemon_replay_run(GoldenRun& out) {
   service::DaemonOptions options;
   options.manual_time = true;
   options.cluster.num_machines = 4;
@@ -251,12 +272,72 @@ TEST(Golden, DaemonManualReplayWithGracefulStop) {
   // Graceful stop: drains, checkpoints progress, writes daemon_stop.
   daemon.stop("golden");
 
-  std::map<std::string, std::string> digests = {
-      {"daemon_replay.decisions",
-       digest(project_daemon_stream(daemon.decisions_jsonl()))}};
-  add_jobs_digests("daemon_replay", fold_timelines(daemon.decisions_jsonl()),
-                   digests);
-  expect_digests(digests);
+  out.name = "daemon_replay";
+  out.jsonl = daemon.decisions_jsonl();
+  out.digests = {{"daemon_replay.decisions",
+                  digest(project_daemon_stream(out.jsonl))}};
+  add_jobs_digests("daemon_replay", fold_timelines(out.jsonl), out.digests);
+}
+
+TEST(Golden, DaemonManualReplayWithGracefulStop) {
+  GoldenRun run;
+  daemon_replay_run(run);
+  expect_digests(run.digests);
+}
+
+// The lines of `jsonl` whose type is in the state tier: the records a WAL
+// of the same run holds, in the same order and bytes.
+std::string state_tier(const std::string& jsonl) {
+  std::istringstream in(jsonl);
+  std::string out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (obs::is_explanation_record(obs::record_type(line))) continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+// The proof obligation of the state tier, on all four golden runs: with
+// every explanation record deleted, the log replays to the same
+// ReplayState, folds to the same timelines, and reproduces every pinned
+// digest derived from the log (.timelines and .jobs_*; the .result and
+// .trace digests do not read the log, and .decisions pins the full one).
+TEST(Golden, StateTierReplaysAndFoldsLikeTheFullLog) {
+  std::vector<GoldenRun> runs;
+  runs.push_back(muri_l_faults_run());
+  runs.push_back(muri_s_testbed_run());
+  runs.push_back(antman_run());
+  runs.emplace_back();
+  daemon_replay_run(runs.back());
+  for (const GoldenRun& run : runs) {
+    SCOPED_TRACE(run.name);
+    const std::string state = state_tier(run.jsonl);
+    EXPECT_LT(state.size(), run.jsonl.size()) << "no explanation record";
+
+    recovery::ReplayEngine full;
+    recovery::ReplayEngine tier;
+    std::string error;
+    ASSERT_TRUE(full.replay(run.jsonl, &error)) << error;
+    ASSERT_TRUE(tier.replay(state, &error)) << error;
+    EXPECT_EQ(full.state(), tier.state());
+    EXPECT_EQ(recovery::state_json(full.state()),
+              recovery::state_json(tier.state()));
+
+    const std::vector<obs::JobTimeline> tier_ts = fold_timelines(state);
+    EXPECT_EQ(obs::timelines_json(fold_timelines(run.jsonl)),
+              obs::timelines_json(tier_ts));
+
+    std::map<std::string, std::string> derived;
+    for (const auto& [key, value] : run.digests) {
+      if (key == run.name + ".timelines") {
+        derived[key] = digest(obs::timelines_json(tier_ts));
+      }
+    }
+    add_jobs_digests(run.name, tier_ts, derived);
+    expect_digests(derived);
+  }
 }
 
 }  // namespace
