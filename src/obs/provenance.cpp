@@ -698,10 +698,32 @@ std::string render_record(const JsonValue& rec, std::int64_t focus_job) {
   return out;
 }
 
+// Is the explanation tier missing from `round` (-1: from the whole log)?
+// A WAL never holds it; a log does unless it was filtered to the state
+// tier, which shows as a round_start without any explanation record.
+bool explanation_absent(const std::vector<DecisionRecord>& records,
+                        std::int64_t round, bool from_wal) {
+  if (from_wal) return true;
+  bool round_started = false;
+  for (const auto& rec : records) {
+    if (!rec.value.is_object()) continue;
+    if (round >= 0 && round_of(rec.value) != round) continue;
+    const std::string& type = rec.value.at("type").string;
+    if (is_explanation_record(type)) return false;
+    round_started = round_started || type == "round_start";
+  }
+  return round_started;
+}
+
+constexpr const char* kAbsentNote =
+    "  (explanation records are not persisted in the WAL: state records "
+    "only)\n";
+constexpr const char* kAbsentField = ",\"explanation\":\"absent\"";
+
 }  // namespace
 
 std::string explain_job_text(const std::vector<DecisionRecord>& records,
-                             std::int64_t job) {
+                             std::int64_t job, bool from_wal) {
   std::string out;
   std::int64_t last_round = -1;
   for (const auto& rec : records) {
@@ -709,6 +731,7 @@ std::string explain_job_text(const std::vector<DecisionRecord>& records,
     const std::int64_t round = round_of(rec.value);
     if (out.empty()) {
       out = "job " + std::to_string(job) + " decision history\n";
+      if (explanation_absent(records, -1, from_wal)) out += kAbsentNote;
     }
     if (round != last_round) {
       out += "  round " + std::to_string(round) + ":\n";
@@ -720,7 +743,7 @@ std::string explain_job_text(const std::vector<DecisionRecord>& records,
 }
 
 std::string explain_job_json(const std::vector<DecisionRecord>& records,
-                             std::int64_t job) {
+                             std::int64_t job, bool from_wal) {
   std::string body;
   std::int64_t last_round = -1;
   bool any = false;
@@ -739,16 +762,19 @@ std::string explain_job_json(const std::vector<DecisionRecord>& records,
   }
   if (!any) return "";
   body += "]}";
-  return "{\"job\":" + std::to_string(job) + ",\"rounds\":[" + body + "]}\n";
+  return "{\"job\":" + std::to_string(job) +
+         (explanation_absent(records, -1, from_wal) ? kAbsentField : "") +
+         ",\"rounds\":[" + body + "]}\n";
 }
 
 std::string explain_round_text(const std::vector<DecisionRecord>& records,
-                               std::int64_t round) {
+                               std::int64_t round, bool from_wal) {
   std::string out;
   for (const auto& rec : records) {
     if (!rec.value.is_object() || round_of(rec.value) != round) continue;
     if (out.empty()) {
       out = "round " + std::to_string(round) + " decisions\n";
+      if (explanation_absent(records, round, from_wal)) out += kAbsentNote;
     }
     out += "  " + render_record(rec.value, -1) + "\n";
   }
@@ -756,7 +782,7 @@ std::string explain_round_text(const std::vector<DecisionRecord>& records,
 }
 
 std::string explain_round_json(const std::vector<DecisionRecord>& records,
-                               std::int64_t round) {
+                               std::int64_t round, bool from_wal) {
   std::string body;
   bool any = false;
   for (const auto& rec : records) {
@@ -766,8 +792,9 @@ std::string explain_round_json(const std::vector<DecisionRecord>& records,
     any = true;
   }
   if (!any) return "";
-  return "{\"round\":" + std::to_string(round) + ",\"records\":[" + body +
-         "]}\n";
+  return "{\"round\":" + std::to_string(round) +
+         (explanation_absent(records, round, from_wal) ? kAbsentField : "") +
+         ",\"records\":[" + body + "]}\n";
 }
 
 }  // namespace muri::obs

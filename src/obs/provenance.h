@@ -276,6 +276,13 @@ bool validate_decision_log(std::string_view jsonl,
                            std::string* error = nullptr,
                            std::string* tail_warning = nullptr);
 
+// The explain queries below run over a full log or over a WAL, which
+// keeps the state tier only. With `from_wal`, or when the queried scope
+// (the whole log for a job, the round for a round) has a round_start but
+// no explanation record, the text output says "explanation records are
+// not persisted in the WAL" and the JSON output carries
+// "explanation":"absent", so a thin answer is never silently thin.
+
 // Query: reconstructs one job's full decision history — the rounds it was
 // queued with its priority score, the candidate pairings considered with
 // their γ edge weights (matched partner marked, rejected alternatives
@@ -283,20 +290,21 @@ bool validate_decision_log(std::string_view jsonl,
 // outcome, and every placement / preemption / eviction / fault with its
 // cause. Returns "" when the log holds no record mentioning the job.
 std::string explain_job_text(const std::vector<DecisionRecord>& records,
-                             std::int64_t job);
-// JSON form: {"job":N,"rounds":[{"round":R,"records":[...]}]} with the
-// records embedded verbatim.
+                             std::int64_t job, bool from_wal = false);
+// JSON form: {"job":N[,"explanation":"absent"],"rounds":[{"round":R,
+// "records":[...]}]} with the records embedded verbatim.
 std::string explain_job_json(const std::vector<DecisionRecord>& records,
-                             std::int64_t job);
+                             std::int64_t job, bool from_wal = false);
 
 // Query: renders everything one round decided — queue and priorities,
 // candidate buckets, each matching round's nodes/edges/merges, the groups
 // formed or rejected, and the resulting placements and preemptions.
 // Returns "" when the log holds no record for the round.
 std::string explain_round_text(const std::vector<DecisionRecord>& records,
-                               std::int64_t round);
-// JSON form: {"round":N,"records":[...]} with records embedded verbatim.
+                               std::int64_t round, bool from_wal = false);
+// JSON form: {"round":N[,"explanation":"absent"],"records":[...]} with
+// records embedded verbatim.
 std::string explain_round_json(const std::vector<DecisionRecord>& records,
-                               std::int64_t round);
+                               std::int64_t round, bool from_wal = false);
 
 }  // namespace muri::obs

@@ -17,6 +17,8 @@
 #include "common/rng.h"
 #include "job/model.h"
 #include "obs/provenance.h"
+#include "recovery/durable.h"
+#include "recovery/wal.h"
 #include "runtime/executor.h"
 #include "scheduler/baselines.h"
 #include "scheduler/muri.h"
@@ -377,7 +379,8 @@ bool same_plan(const std::vector<PlannedGroup>& a,
     if (a[i].members != b[i].members || a[i].num_gpus != b[i].num_gpus ||
         a[i].mode != b[i].mode || a[i].slots != b[i].slots ||
         a[i].offsets != b[i].offsets ||
-        a[i].planned_period != b[i].planned_period) {
+        a[i].planned_period != b[i].planned_period ||
+        a[i].gamma != b[i].gamma) {
       return false;
     }
   }
@@ -720,6 +723,70 @@ TEST(Provenance, ExplainRoundRendersEveryRecordOfTheRound) {
 
   EXPECT_TRUE(obs::explain_round_text(records, 999999).empty());
   EXPECT_TRUE(obs::explain_round_json(records, 999999).empty());
+}
+
+TEST(Provenance, ExplainOverAWalSaysTheExplanationIsAbsent) {
+  // A durable run of the contended trace: its WAL keeps the state tier.
+  const std::string path =
+      testing::TempDir() + "muri_provenance_explain_absent.wal";
+  DecisionLog log;
+  {
+    recovery::DurableSinkOptions sink_options;
+    sink_options.fsync = recovery::DurableSinkOptions::Fsync::kNone;
+    recovery::DurableSink sink(path, sink_options);
+    log.set_sink(&sink);
+    SimOptions opt = tiny_cluster();
+    opt.decisions = &log;
+    MuriScheduler s{MuriOptions{}};
+    run_simulation(contended_trace(), s, opt);
+    log.set_sink(nullptr);
+    sink.close();
+    ASSERT_TRUE(sink.ok()) << sink.error();
+  }
+  recovery::WalReadResult decoded;
+  ASSERT_TRUE(recovery::read_wal_file(path, decoded));
+  std::string wal_jsonl;
+  for (const recovery::WalFrame& frame : decoded.frames) {
+    wal_jsonl += frame.payload + "\n";
+  }
+  std::vector<DecisionRecord> wal;
+  std::vector<DecisionRecord> full;
+  ASSERT_TRUE(obs::parse_decision_log(wal_jsonl, wal));
+  ASSERT_TRUE(obs::parse_decision_log(log.jsonl(), full));
+  ASSERT_EQ(count_type(wal, "match_round"), 0);
+  ASSERT_GE(count_type(wal, "round_start"), 1);
+  ASSERT_GE(count_type(wal, "placement"), 1);
+  std::int64_t job = -1;
+  for (const auto& r : wal) {
+    if (r.value.at("type").string == "placement") {
+      job = static_cast<std::int64_t>(r.value.at("jobs").array[0].number);
+      break;
+    }
+  }
+
+  const std::string note = "explanation records are not persisted in the WAL";
+  const auto absent_in_json = [](const std::string& json) {
+    obs::JsonValue root;
+    EXPECT_TRUE(obs::parse_json(json, root)) << json;
+    return root.at("explanation").is_string() &&
+           root.at("explanation").string == "absent";
+  };
+  // Told the input is a WAL, or finding rounds without explanation
+  // records, the answers say what is missing; the full log's do not.
+  for (const bool from_wal : {true, false}) {
+    SCOPED_TRACE(from_wal ? "from_wal" : "detected");
+    const std::string job_text = obs::explain_job_text(wal, job, from_wal);
+    EXPECT_NE(job_text.find(note), std::string::npos) << job_text;
+    EXPECT_NE(job_text.find("placed"), std::string::npos) << job_text;
+    EXPECT_TRUE(absent_in_json(obs::explain_job_json(wal, job, from_wal)));
+    const std::string round_text = obs::explain_round_text(wal, 1, from_wal);
+    EXPECT_NE(round_text.find(note), std::string::npos) << round_text;
+    EXPECT_TRUE(absent_in_json(obs::explain_round_json(wal, 1, from_wal)));
+  }
+  EXPECT_EQ(obs::explain_job_text(full, job).find(note), std::string::npos);
+  EXPECT_FALSE(absent_in_json(obs::explain_job_json(full, job)));
+  EXPECT_EQ(obs::explain_round_text(full, 1).find(note), std::string::npos);
+  EXPECT_FALSE(absent_in_json(obs::explain_round_json(full, 1)));
 }
 
 // ---------------------------------------------------------------------------

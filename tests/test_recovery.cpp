@@ -6,6 +6,7 @@
 // across seeds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -189,7 +190,8 @@ bool same_plan(const std::vector<PlannedGroup>& a,
     if (a[i].members != b[i].members || a[i].num_gpus != b[i].num_gpus ||
         a[i].mode != b[i].mode || a[i].slots != b[i].slots ||
         a[i].offsets != b[i].offsets ||
-        a[i].planned_period != b[i].planned_period) {
+        a[i].planned_period != b[i].planned_period ||
+        a[i].gamma != b[i].gamma) {
       return false;
     }
   }
@@ -534,6 +536,49 @@ TEST(Recovery, ResumeAfterCompactionSkipsTheCoveredPrefix) {
   for (std::size_t i = 0; i < plans.size(); ++i) {
     EXPECT_TRUE(same_plan(clean_plans[i], plans[i])) << "plan " << i;
   }
+}
+
+TEST(Resume, VerifiesOnlyStateRecords) {
+  // A crash left the first half of a state-tier WAL. The resumed run
+  // regenerates the whole log, explanation records included; the sink
+  // byte-verifies exactly the state records on disk, appends the rest,
+  // and writes no explanation record.
+  const Trace trace = recovery_trace(3);
+  std::string jsonl;
+  const std::string clean_path = temp_path("verify_state_clean.wal");
+  durable_run(trace, clean_path, 0, nullptr, &jsonl);
+  const std::string clean_bytes = slurp(clean_path);
+  const WalReadResult decoded = recovery::decode_wal(clean_bytes);
+  const auto lines = [](const std::string& s) {
+    return static_cast<std::int64_t>(std::count(s.begin(), s.end(), '\n'));
+  };
+  const std::int64_t state_records = lines(state_tier(jsonl));
+  ASSERT_EQ(static_cast<std::int64_t>(decoded.frames.size()), state_records);
+  ASSERT_LT(state_records, lines(jsonl));
+
+  const std::int64_t kept = state_records / 2;
+  const std::string path = temp_path("verify_state.wal");
+  std::string prefix;
+  for (std::int64_t i = 0; i < kept; ++i) {
+    const WalFrame& frame = decoded.frames[static_cast<std::size_t>(i)];
+    recovery::append_wal_frame(prefix, frame.kind, frame.payload);
+  }
+  spit(path, prefix);
+
+  recovery::ResumeOptions options;
+  options.wal_path = path;
+  options.sink.fsync = DurableSinkOptions::Fsync::kNone;
+  MuriScheduler scheduler;
+  SimResult result;
+  recovery::ResumeReport report;
+  std::string error;
+  ASSERT_TRUE(recovery::resume_simulation(trace, scheduler, faulty_cluster(),
+                                          options, result, report, &error))
+      << error;
+  EXPECT_EQ(report.records_on_disk, kept);
+  EXPECT_EQ(report.records_verified, kept);
+  EXPECT_EQ(report.records_appended, state_records - kept);
+  EXPECT_EQ(slurp(path), clean_bytes);
 }
 
 // ---------------------------------------------------------------------------

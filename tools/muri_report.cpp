@@ -12,7 +12,9 @@
 //   muri-report --format=json --out=report.json trace.json
 //
 // The explain subcommands answer "why" questions against a
-// --decisions-out JSONL dump (see src/obs/provenance.h):
+// --decisions-out JSONL dump (see src/obs/provenance.h). A WAL works too,
+// but keeps only the state tier: the output then says that the
+// explanation records are absent.
 //
 //   muri-report explain-job 42 decisions.jsonl    # one job's full history
 //   muri-report explain-round 3 --format=json decisions.jsonl
@@ -114,9 +116,9 @@ void usage(std::ostream& os) {
   os << "usage: muri-report [--format=text|csv|json] [--out=FILE] "
         "TRACE.json [TRACE.json ...]\n"
         "       muri-report explain-job ID [--format=text|json] [--out=FILE] "
-        "DECISIONS.jsonl\n"
+        "WAL-or-DECISIONS-file\n"
         "       muri-report explain-round N [--format=text|json] [--out=FILE] "
-        "DECISIONS.jsonl\n"
+        "WAL-or-DECISIONS-file\n"
         "       muri-report replay [--format=text|json] [--out=FILE] "
         "WAL-or-DECISIONS-file\n"
         "       muri-report jobs [--format=text|csv|json] [--out=FILE] "
@@ -308,6 +310,49 @@ bool emit_output(const Options& opts, const std::string& output) {
   return true;
 }
 
+// Reads a decision stream — a durable WAL (re-joined into JSONL; record
+// frames only, snapshots carry folded state, not job events) or a plain
+// JSONL dump — into parsed records. Returns 0, or 1 after reporting an
+// IO/parse error on stderr; torn tails warn and keep the valid prefix.
+int read_decision_stream(const std::string& path,
+                         std::vector<muri::obs::DecisionRecord>& records) {
+  std::string text;
+  if (!read_file(path, text)) {
+    std::cerr << "muri-report: cannot read " << path << '\n';
+    return 1;
+  }
+  if (muri::recovery::looks_like_wal(text)) {
+    muri::recovery::WalReadResult decoded;
+    std::string error;
+    if (!muri::recovery::read_wal_file(path, decoded, &error)) {
+      std::cerr << "muri-report: " << path << ": " << error << '\n';
+      return 1;
+    }
+    if (decoded.torn) {
+      std::cerr << "muri-report: " << path
+                << ": warning: torn tail ignored (" << decoded.torn_reason
+                << ")\n";
+    }
+    text.clear();
+    for (const muri::recovery::WalFrame& frame : decoded.frames) {
+      if (frame.kind != muri::recovery::FrameKind::kRecord) continue;
+      text += frame.payload;
+      text += '\n';
+    }
+  }
+  std::string error;
+  std::string tail_warning;
+  if (!muri::obs::parse_decision_log(text, records, &error, &tail_warning)) {
+    std::cerr << "muri-report: " << path << ": " << error << '\n';
+    return 1;
+  }
+  if (!tail_warning.empty()) {
+    std::cerr << "muri-report: " << path << ": warning: " << tail_warning
+              << '\n';
+  }
+  return 0;
+}
+
 int run_explain(const Options& opts) {
   const std::string& path = opts.traces.front();
   std::string text;
@@ -315,28 +360,37 @@ int run_explain(const Options& opts) {
     std::cerr << "muri-report: cannot read " << path << '\n';
     return 1;
   }
-  std::string error;
-  // Validate first: a malformed dump should fail loudly, not produce a
-  // partial explanation.
-  if (!muri::obs::validate_decision_log(text, &error)) {
-    std::cerr << "muri-report: " << path << ": " << error << '\n';
-    return 1;
-  }
+  // A WAL keeps the state tier only; the explanation says so.
+  const bool from_wal = muri::recovery::looks_like_wal(text);
   std::vector<muri::obs::DecisionRecord> records;
-  if (!muri::obs::parse_decision_log(text, records, &error)) {
-    std::cerr << "muri-report: " << path << ": " << error << '\n';
-    return 1;
+  if (from_wal) {
+    if (const int rc = read_decision_stream(path, records); rc != 0) {
+      return rc;
+    }
+  } else {
+    std::string error;
+    // Validate first: a malformed dump should fail loudly, not produce a
+    // partial explanation.
+    if (!muri::obs::validate_decision_log(text, &error)) {
+      std::cerr << "muri-report: " << path << ": " << error << '\n';
+      return 1;
+    }
+    if (!muri::obs::parse_decision_log(text, records, &error)) {
+      std::cerr << "muri-report: " << path << ": " << error << '\n';
+      return 1;
+    }
   }
 
+  const std::int64_t id = opts.explain_id;
   std::string output;
   if (opts.mode == Mode::kExplainJob) {
     output = opts.format == Format::kJson
-                 ? muri::obs::explain_job_json(records, opts.explain_id)
-                 : muri::obs::explain_job_text(records, opts.explain_id);
+                 ? muri::obs::explain_job_json(records, id, from_wal)
+                 : muri::obs::explain_job_text(records, id, from_wal);
   } else {
     output = opts.format == Format::kJson
-                 ? muri::obs::explain_round_json(records, opts.explain_id)
-                 : muri::obs::explain_round_text(records, opts.explain_id);
+                 ? muri::obs::explain_round_json(records, id, from_wal)
+                 : muri::obs::explain_round_text(records, id, from_wal);
   }
   if (output.empty()) {
     std::cerr << "muri-report: no record of "
@@ -399,49 +453,6 @@ int run_replay(const Options& opts) {
                                  ? muri::recovery::state_json(state)
                                  : muri::recovery::state_text(state);
   return emit_output(opts, output) ? 0 : 1;
-}
-
-// Reads a decision stream — a durable WAL (re-joined into JSONL; record
-// frames only, snapshots carry folded state, not job events) or a plain
-// JSONL dump — into parsed records. Returns 0, or 1 after reporting an
-// IO/parse error on stderr; torn tails warn and keep the valid prefix.
-int read_decision_stream(const std::string& path,
-                         std::vector<muri::obs::DecisionRecord>& records) {
-  std::string text;
-  if (!read_file(path, text)) {
-    std::cerr << "muri-report: cannot read " << path << '\n';
-    return 1;
-  }
-  if (muri::recovery::looks_like_wal(text)) {
-    muri::recovery::WalReadResult decoded;
-    std::string error;
-    if (!muri::recovery::read_wal_file(path, decoded, &error)) {
-      std::cerr << "muri-report: " << path << ": " << error << '\n';
-      return 1;
-    }
-    if (decoded.torn) {
-      std::cerr << "muri-report: " << path
-                << ": warning: torn tail ignored (" << decoded.torn_reason
-                << ")\n";
-    }
-    text.clear();
-    for (const muri::recovery::WalFrame& frame : decoded.frames) {
-      if (frame.kind != muri::recovery::FrameKind::kRecord) continue;
-      text += frame.payload;
-      text += '\n';
-    }
-  }
-  std::string error;
-  std::string tail_warning;
-  if (!muri::obs::parse_decision_log(text, records, &error, &tail_warning)) {
-    std::cerr << "muri-report: " << path << ": " << error << '\n';
-    return 1;
-  }
-  if (!tail_warning.empty()) {
-    std::cerr << "muri-report: " << path << ": warning: " << tail_warning
-              << '\n';
-  }
-  return 0;
 }
 
 // The jobs report's rows: the jobtrace fold of a decision stream, one
