@@ -523,8 +523,8 @@ bool mentions_job(const JsonValue& rec, std::int64_t job) {
 std::string fmt_num(double v) {
   std::string out;
   char buf[40];
-  if (v == static_cast<double>(static_cast<long long>(v)) && v > -1e15 &&
-      v < 1e15) {
+  if (v > -1e15 && v < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
   } else {
     std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -646,7 +646,20 @@ std::string render_record(const JsonValue& rec, std::int64_t focus_job) {
     out = "t=" + fmt_num(rec.at("t").number) + " could not place " +
           fmt_int_array(rec.at("jobs")) + " (" + rec.at("reason").string +
           ")";
-  } else if (type == "preempt" || type == "restart" || type == "fault") {
+  } else if (type == "arrival" || type == "job_submit") {
+    out = "t=" + fmt_num(rec.at("t").number) + " job " +
+          fmt_num(rec.at("job").number) + " submitted (" +
+          fmt_num(rec.at("gpus").number) + " GPUs)";
+  } else if (type == "finish") {
+    out = "t=" + fmt_num(rec.at("t").number) + " job " +
+          fmt_num(rec.at("job").number) + " finished, jct=" +
+          fmt_num(rec.at("jct").number);
+  } else if (type == "machine_down" || type == "machine_up") {
+    out = "t=" + fmt_num(rec.at("t").number) + " machine " +
+          fmt_num(rec.at("machine").number) +
+          (type == "machine_down" ? " down" : " up");
+  } else if (type == "preempt" || type == "restart" || type == "fault" ||
+             type == "job_cancel") {
     out = "t=" + fmt_num(rec.at("t").number) + " " + type + " job " +
           fmt_num(rec.at("job").number) + " (" + rec.at("reason").string +
           ")";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "common/stats.h"
 
@@ -11,7 +12,12 @@ namespace {
 
 using obs::JsonValue;
 
+// The integer a JSON number holds, saturated to int64's range: a corrupt
+// WAL can carry any double, and casting one out of range is undefined.
 std::int64_t as_int(const JsonValue& v) {
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (!(v.number > -kTwoTo63)) return std::numeric_limits<std::int64_t>::min();
+  if (v.number >= kTwoTo63) return std::numeric_limits<std::int64_t>::max();
   return static_cast<std::int64_t>(v.number);
 }
 

@@ -9,8 +9,9 @@
 //   offset 9:  CRC-32 (IEEE)        u32 little-endian, over the payload
 //   offset 13: payload              `length` bytes
 //
-// Record payloads are single DecisionLog JSONL lines (no trailing
-// newline); snapshot payloads are ReplayState JSON (replay.h). The
+// Record payloads are single state-tier DecisionLog JSONL lines (no
+// trailing newline; obs/provenance.h); snapshot payloads are ReplayState
+// JSON (replay.h). The
 // format is append-only and self-delimiting: a reader scans frames until
 // the first one that is incomplete or fails its checksum — the signature
 // of an append cut short by a crash — and reports the byte offset where

@@ -24,7 +24,9 @@
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -203,6 +205,31 @@ void swap_number(std::string& payload, std::mt19937_64& rng) {
   const auto [at, len] = numbers[rng() % numbers.size()];
   payload.replace(at, len,
                   kExtremeNumbers[rng() % std::size(kExtremeNumbers)]);
+}
+
+// Finding: a number swapped for -1e300 reached apply_record's int64
+// cast, which is undefined out of range (UBSan's float-cast-overflow).
+// Out-of-range numbers now saturate, in records and in snapshots alike.
+TEST(FuzzWal, OutOfRangeNumbersSaturateInReplay) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  recovery::ReplayState state;
+  obs::JsonValue rec;
+  ASSERT_TRUE(obs::parse_json(
+      "{\"type\":\"arrival\",\"round\":1e300,\"t\":0,\"job\":-1e300,"
+      "\"gpus\":1}",
+      rec));
+  std::string error;
+  ASSERT_TRUE(recovery::apply_record(state, rec, &error)) << error;
+  EXPECT_EQ(state.round, kMax);
+  EXPECT_EQ(state.arrived, std::set<std::int64_t>{kMin});
+
+  std::string snapshot = recovery::state_json(recovery::ReplayState{});
+  const std::string field = "\"records\":0";
+  snapshot.replace(snapshot.find(field), field.size(), "\"records\":-1e300");
+  recovery::ReplayState restored;
+  ASSERT_TRUE(recovery::state_from_json(snapshot, restored, &error)) << error;
+  EXPECT_EQ(restored.records, kMin);
 }
 
 TEST(FuzzWal, CorpusIsAStateTierWalWithSnapshots) {
