@@ -47,8 +47,10 @@ void append_json_double(std::string& out, double v) {
   // deterministic for a given value, which byte-stability leans on.
   // std::to_chars with general format and precision 17 writes the bytes
   // of printf's %.17g without the locale and format-string parsing.
-  if (v == static_cast<double>(static_cast<long long>(v)) && v > -1e15 &&
-      v < 1e15) {
+  // The range test comes first: casting a double outside long long's
+  // range is undefined.
+  if (v > -1e15 && v < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     append_json_integer(out, static_cast<std::int64_t>(v));
     return;
   }

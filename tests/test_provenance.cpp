@@ -37,8 +37,8 @@ using obs::DecisionRecord;
 // (-1e15, 1e15) as %lld, every other double as %.17g.
 std::string printf_double(double v) {
   char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v)) && v > -1e15 &&
-      v < 1e15) {
+  if (v > -1e15 && v < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
   } else {
     std::snprintf(buf, sizeof(buf), "%.17g", v);
