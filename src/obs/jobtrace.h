@@ -51,8 +51,8 @@
 // of interleaved placements (absent: γ 1), and on the "restart_penalty"
 // field of sim_start/daemon_start (older logs fold with a zero gate). It
 // reads state-tier records only (provenance.h), so a WAL folds to the
-// timelines of the full log. Records without a non-negative integer job id are
-// ignored.
+// timelines of the full log. Records without a non-negative integer job
+// id are ignored.
 //
 // All renderers are byte-stable: a fixed-seed run produces the same
 // bytes on every run and from any driving thread, with doubles in the
