@@ -11,12 +11,11 @@
 //
 // Record payloads are single state-tier DecisionLog JSONL lines (no
 // trailing newline; obs/provenance.h); snapshot payloads are ReplayState
-// JSON (replay.h). The
-// format is append-only and self-delimiting: a reader scans frames until
-// the first one that is incomplete or fails its checksum — the signature
-// of an append cut short by a crash — and reports the byte offset where
-// the valid prefix ends, so recovery can truncate the torn tail and
-// resume appending from a clean boundary.
+// JSON (replay.h). The format is append-only and self-delimiting: a
+// reader scans frames until the first one that is incomplete or fails its
+// checksum — the signature of an append cut short by a crash — and
+// reports the byte offset where the valid prefix ends, so recovery can
+// truncate the torn tail and resume appending from a clean boundary.
 //
 // A file whose *first* frame is a snapshot has been compacted: the
 // records the snapshot summarizes were dropped, and the first record

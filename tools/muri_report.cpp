@@ -310,48 +310,9 @@ bool emit_output(const Options& opts, const std::string& output) {
   return true;
 }
 
-// Reads a decision stream — a durable WAL (re-joined into JSONL; record
-// frames only, snapshots carry folded state, not job events) or a plain
-// JSONL dump — into parsed records. Returns 0, or 1 after reporting an
-// IO/parse error on stderr; torn tails warn and keep the valid prefix.
+// Defined below, with the jobs and timeline readers.
 int read_decision_stream(const std::string& path,
-                         std::vector<muri::obs::DecisionRecord>& records) {
-  std::string text;
-  if (!read_file(path, text)) {
-    std::cerr << "muri-report: cannot read " << path << '\n';
-    return 1;
-  }
-  if (muri::recovery::looks_like_wal(text)) {
-    muri::recovery::WalReadResult decoded;
-    std::string error;
-    if (!muri::recovery::read_wal_file(path, decoded, &error)) {
-      std::cerr << "muri-report: " << path << ": " << error << '\n';
-      return 1;
-    }
-    if (decoded.torn) {
-      std::cerr << "muri-report: " << path
-                << ": warning: torn tail ignored (" << decoded.torn_reason
-                << ")\n";
-    }
-    text.clear();
-    for (const muri::recovery::WalFrame& frame : decoded.frames) {
-      if (frame.kind != muri::recovery::FrameKind::kRecord) continue;
-      text += frame.payload;
-      text += '\n';
-    }
-  }
-  std::string error;
-  std::string tail_warning;
-  if (!muri::obs::parse_decision_log(text, records, &error, &tail_warning)) {
-    std::cerr << "muri-report: " << path << ": " << error << '\n';
-    return 1;
-  }
-  if (!tail_warning.empty()) {
-    std::cerr << "muri-report: " << path << ": warning: " << tail_warning
-              << '\n';
-  }
-  return 0;
-}
+                         std::vector<muri::obs::DecisionRecord>& records);
 
 int run_explain(const Options& opts) {
   const std::string& path = opts.traces.front();
@@ -453,6 +414,49 @@ int run_replay(const Options& opts) {
                                  ? muri::recovery::state_json(state)
                                  : muri::recovery::state_text(state);
   return emit_output(opts, output) ? 0 : 1;
+}
+
+// Reads a decision stream — a durable WAL (re-joined into JSONL; record
+// frames only, snapshots carry folded state, not job events) or a plain
+// JSONL dump — into parsed records. Returns 0, or 1 after reporting an
+// IO/parse error on stderr; torn tails warn and keep the valid prefix.
+int read_decision_stream(const std::string& path,
+                         std::vector<muri::obs::DecisionRecord>& records) {
+  std::string text;
+  if (!read_file(path, text)) {
+    std::cerr << "muri-report: cannot read " << path << '\n';
+    return 1;
+  }
+  if (muri::recovery::looks_like_wal(text)) {
+    muri::recovery::WalReadResult decoded;
+    std::string error;
+    if (!muri::recovery::read_wal_file(path, decoded, &error)) {
+      std::cerr << "muri-report: " << path << ": " << error << '\n';
+      return 1;
+    }
+    if (decoded.torn) {
+      std::cerr << "muri-report: " << path
+                << ": warning: torn tail ignored (" << decoded.torn_reason
+                << ")\n";
+    }
+    text.clear();
+    for (const muri::recovery::WalFrame& frame : decoded.frames) {
+      if (frame.kind != muri::recovery::FrameKind::kRecord) continue;
+      text += frame.payload;
+      text += '\n';
+    }
+  }
+  std::string error;
+  std::string tail_warning;
+  if (!muri::obs::parse_decision_log(text, records, &error, &tail_warning)) {
+    std::cerr << "muri-report: " << path << ": " << error << '\n';
+    return 1;
+  }
+  if (!tail_warning.empty()) {
+    std::cerr << "muri-report: " << path << ": warning: " << tail_warning
+              << '\n';
+  }
+  return 0;
 }
 
 // The jobs report's rows: the jobtrace fold of a decision stream, one
