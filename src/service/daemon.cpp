@@ -898,20 +898,29 @@ void MuriDaemon::handle_submit(const obs::HttpRequest& req,
     json_error(resp, 400, "missing \"gpus\"");
     return;
   }
-  spec.num_gpus = static_cast<int>(body.at("gpus").number);
+  // Numbers are range-checked as doubles before the cast: casting one
+  // outside the target type's range is undefined.
+  const double gpus = body.at("gpus").number;
   const int total =
       options_.cluster.num_machines * options_.cluster.gpus_per_machine;
-  if (spec.num_gpus < 1 || spec.num_gpus > total) {
+  if (!(gpus >= 1 && gpus <= total)) {
     json_error(resp, 400,
                "\"gpus\" must be in [1, " + std::to_string(total) + "]");
     return;
   }
-  if (!body.at("iterations").is_number() ||
-      body.at("iterations").number < 1) {
-    json_error(resp, 400, "missing or non-positive \"iterations\"");
+  spec.num_gpus = static_cast<int>(gpus);
+  if (!body.at("iterations").is_number()) {
+    json_error(resp, 400, "missing \"iterations\"");
     return;
   }
-  spec.iterations = static_cast<std::int64_t>(body.at("iterations").number);
+  // 2^53: every integer up to it is exact in a double.
+  constexpr double kMaxIterations = 9007199254740992.0;
+  const double iterations = body.at("iterations").number;
+  if (!(iterations >= 1 && iterations <= kMaxIterations)) {
+    json_error(resp, 400, "\"iterations\" must be in [1, 2^53]");
+    return;
+  }
+  spec.iterations = static_cast<std::int64_t>(iterations);
   if (body.at("name").is_string()) spec.name = body.at("name").string;
   if (body.at("deadline_s").is_number()) {
     spec.deadline_s = body.at("deadline_s").number;

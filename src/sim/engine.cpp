@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <set>
 
 #include "obs/jobtrace.h"
 #include "obs/provenance.h"
@@ -163,6 +162,14 @@ const ExecutionEngine::JobState* ExecutionEngine::find(JobId id) const {
   return const_cast<ExecutionEngine*>(this)->find(id);
 }
 
+void ExecutionEngine::prune_live() {
+  if (!live_stale_) return;
+  std::erase_if(live_, [this](JobId id) {
+    return !is_live(jobs_[static_cast<size_t>(id)]);
+  });
+  live_stale_ = false;
+}
+
 // ---------------------------------------------------------------------------
 // Job table.
 
@@ -183,10 +190,13 @@ void ExecutionEngine::submit(const Job& job, std::string name,
   // One fault substream per job: editing the trace never reshuffles other
   // jobs' fault times.
   if (fault_rate_ > 0) {
-    fault_rng_.emplace(job.id,
-                       Rng(substream_seed(options_.fault_seed,
-                                          static_cast<std::uint64_t>(job.id))));
+    if (fault_rng_.size() < jobs_.size()) fault_rng_.resize(jobs_.size());
+    const std::uint64_t salt = static_cast<std::uint64_t>(job.id);
+    fault_rng_[static_cast<size_t>(job.id)] =
+        std::make_unique<Rng>(substream_seed(options_.fault_seed, salt));
   }
+  // Arrival order need not be id order (trace ties, daemon restores).
+  live_.insert(std::lower_bound(live_.begin(), live_.end(), job.id), job.id);
   ++active_;
   job_instant(s, "submit");
   queue_changed_ = true;
@@ -207,6 +217,7 @@ bool ExecutionEngine::cancel(JobId id, Time at, const char* reason) {
   }
   s->phase = JobPhase::kCancelled;
   s->end_time = at;
+  live_stale_ = true;
   --active_;
   queue_changed_ = true;
   if (options_.decisions != nullptr) {
@@ -246,11 +257,9 @@ bool ExecutionEngine::job_status(JobId id, JobStatus& out) const {
 
 void ExecutionEngine::checkpoint_progress() {
   if (options_.decisions == nullptr) return;
-  for (const JobState& s : jobs_) {
-    if (s.phase != JobPhase::kQueued && s.phase != JobPhase::kRunning) {
-      continue;
-    }
-    if (s.done_iterations <= 0) continue;
+  for (JobId id : live_) {
+    const JobState& s = jobs_[static_cast<size_t>(id)];
+    if (!is_live(s) || s.done_iterations <= 0) continue;
     options_.decisions->entry("job_progress")
         .num("t", now_)
         .integer("job", s.job.id)
@@ -272,7 +281,8 @@ Time ExecutionEngine::projected_finish(const JobState& s) const {
 
 Time ExecutionEngine::next_event_time() const {
   Time next = kInf;
-  for (const JobState& s : jobs_) {
+  for (JobId id : live_) {
+    const JobState& s = jobs_[static_cast<size_t>(id)];
     if (s.phase != JobPhase::kRunning) continue;
     next = std::min(next, projected_finish(s));
     if (fault_rate_ > 0) next = std::min(next, s.next_fault);
@@ -283,8 +293,10 @@ Time ExecutionEngine::next_event_time() const {
 
 void ExecutionEngine::progress_to(Time t) {
   if (t <= now_) return;
+  prune_live();
   const Duration dt = t - now_;
-  for (JobState& s : jobs_) {
+  for (JobId id : live_) {
+    JobState& s = jobs_[static_cast<size_t>(id)];
     if (s.phase == JobPhase::kQueued) s.waited = true;
     if (s.phase != JobPhase::kRunning) continue;
     s.ran_wall += dt;
@@ -325,6 +337,7 @@ void ExecutionEngine::progress_to(Time t) {
 }
 
 bool ExecutionEngine::settle() {
+  prune_live();
   bool changed = false;
   // Machine fault domains: crashes evict and requeue every resident job;
   // repairs return the machine unless the monitor holds it on probation;
@@ -344,7 +357,8 @@ bool ExecutionEngine::settle() {
   // the queue (progress checkpointed at iteration granularity); surviving
   // group members continue as a re-planned degraded group.
   if (fault_rate_ > 0) {
-    for (JobState& s : jobs_) {
+    for (JobId id : live_) {
+      JobState& s = jobs_[static_cast<size_t>(id)];
       if (s.phase == JobPhase::kRunning && now_ >= s.next_fault &&
           s.done_iterations <
               static_cast<double>(s.job.iterations) - kIterEps) {
@@ -353,7 +367,8 @@ bool ExecutionEngine::settle() {
       }
     }
   }
-  for (JobState& s : jobs_) {
+  for (JobId id : live_) {
+    JobState& s = jobs_[static_cast<size_t>(id)];
     if (s.phase == JobPhase::kRunning &&
         s.done_iterations >=
             static_cast<double>(s.job.iterations) - kIterEps) {
@@ -361,6 +376,7 @@ bool ExecutionEngine::settle() {
       changed = true;
     }
   }
+  prune_live();
   return changed;
 }
 
@@ -399,6 +415,7 @@ void ExecutionEngine::finish_job(JobState& s) {
   leave_group(s.owner, id, /*release_if_empty=*/false);
   leave_running(s, JobPhase::kFinished);
   s.end_time = now_;
+  live_stale_ = true;
   --active_;
   ++finished_;
   JctBreakdown b;
@@ -672,9 +689,11 @@ ExecutionEngine::GroupAccount* ExecutionEngine::open_account(
 
 void ExecutionEngine::run_round() {
   queue_changed_ = false;
+  prune_live();
   // Start deadlines: a job still never scheduled past its deadline is
   // cancelled up front so the scheduler does not plan around it.
-  for (JobState& s : jobs_) {
+  for (JobId id : live_) {
+    JobState& s = jobs_[static_cast<size_t>(id)];
     if (s.phase == JobPhase::kQueued && s.deadline_s > 0 &&
         s.first_scheduled < 0 && now_ - s.job.submit_time > s.deadline_s) {
       cancel(s.job.id, now_, "start_deadline");
@@ -682,10 +701,10 @@ void ExecutionEngine::run_round() {
   }
 
   std::vector<JobView> queue;
-  for (const JobState& s : jobs_) {
-    if (s.phase != JobPhase::kQueued && s.phase != JobPhase::kRunning) {
-      continue;
-    }
+  queue.reserve(live_.size());
+  for (JobId id : live_) {
+    const JobState& s = jobs_[static_cast<size_t>(id)];
+    if (!is_live(s)) continue;
     JobView v;
     v.id = s.job.id;
     v.num_gpus = s.job.num_gpus;
@@ -733,7 +752,8 @@ void ExecutionEngine::run_round() {
     const int capacity = ctx.capacity();
     std::vector<std::int64_t> wait_ids;
     std::vector<std::string> wait_buckets;
-    for (const JobState& s : jobs_) {
+    for (JobId id : live_) {
+      const JobState& s = jobs_[static_cast<size_t>(id)];
       if (s.phase != JobPhase::kQueued) continue;
       const bool was_deferred =
           std::binary_search(deferred.begin(), deferred.end(), s.job.id);
@@ -762,7 +782,7 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
   obs::DecisionLog* const decisions = options_.decisions;
   cluster_.reset();
   running_groups_.clear();
-  std::set<JobId> placed;
+  // Members of admitted groups carry placed_round == rounds_.
   struct Admitted {
     GroupKey key;
     const PlannedGroup* group;
@@ -778,8 +798,7 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
     for (JobId id : g.members) {
       const JobState* s = find(id);
       if (s == nullptr ||
-          (s->phase != JobPhase::kQueued && s->phase != JobPhase::kRunning) ||
-          placed.count(id)) {
+          !is_live(*s) || s->placed_round == rounds_) {
         valid = false;
         break;
       }
@@ -825,12 +844,13 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
       if (g.mode == GroupMode::kInterleaved) e.num("gamma", g.gamma);
     }
     running_groups_.emplace(owner, std::move(rg));
-    for (JobId id : g.members) placed.insert(id);
+    for (JobId id : g.members) {
+      jobs_[static_cast<size_t>(id)].placed_round = rounds_;
+    }
     admitted.push_back({make_key(g.members, g.mode, g.num_gpus), &g, owner});
   }
 
   // Execution periods; start or continue each admitted job.
-  std::set<JobId> newly_running;
   for (const auto& [key, group, owner] : admitted) {
     const auto p = group->members.size();
     std::vector<IterationProfile> true_profiles;
@@ -905,7 +925,8 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
         s.key = key;
         s.ready_at = now_ + options_.restart_penalty;
         s.next_fault = fault_rate_ > 0
-                           ? now_ + fault_rng_.at(id).exponential(fault_rate_)
+                           ? now_ + fault_rng_[static_cast<size_t>(id)]
+                                        ->exponential(fault_rate_)
                            : kInf;
         if (s.first_scheduled < 0) {
           s.first_scheduled = now_;
@@ -941,15 +962,13 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
       s.acct = acct_ptr;
       s.phase = JobPhase::kRunning;
       if (s.run_since == kNoTime) begin_run_span(s, home);
-      newly_running.insert(id);
     }
   }
 
   // Jobs not in the admitted plan are preempted back to the queue.
-  for (JobState& s : jobs_) {
-    if (s.phase != JobPhase::kRunning || newly_running.count(s.job.id)) {
-      continue;
-    }
+  for (JobId id : live_) {
+    JobState& s = jobs_[static_cast<size_t>(id)];
+    if (s.phase != JobPhase::kRunning || s.placed_round == rounds_) continue;
     job_instant(s, "preempt");
     c_preempt_displaced_.inc();
     if (decisions != nullptr) {
@@ -972,7 +991,8 @@ void ExecutionEngine::refresh_utilization() {
   // GPU share.
   utilization_.fill(0.0);
   const double total_gpus = cluster_.total_gpus();
-  for (const JobState& s : jobs_) {
+  for (JobId id : live_) {
+    const JobState& s = jobs_[static_cast<size_t>(id)];
     if (s.phase != JobPhase::kRunning || s.period <= 0) continue;
     const double share = static_cast<double>(s.key.num_gpus) / total_gpus;
     for (int j = 0; j < kNumResources; ++j) {
@@ -992,8 +1012,12 @@ void ExecutionEngine::observe_metrics() {
   double rate_sum = 0;
   double gamma_sum = 0;
   int grouped = 0;
-  std::map<std::vector<JobId>, int> groups_seen;
-  for (const JobState& s : jobs_) {
+  // Every running member of one key shares one incarnation id, so groups
+  // are counted by group id; widths are small integers, so width_sum is
+  // exact in any order.
+  seen_groups_.clear();
+  for (JobId id : live_) {
+    const JobState& s = jobs_[static_cast<size_t>(id)];
     if (s.phase == JobPhase::kQueued) {
       ++pending;
       const Duration pending_time = (now_ - s.job.submit_time) - s.ran_wall;
@@ -1002,7 +1026,8 @@ void ExecutionEngine::observe_metrics() {
     } else if (s.phase == JobPhase::kRunning) {
       ++running;
       if (s.period > 0) rate_sum += s.job.profile.iteration_time() / s.period;
-      groups_seen[s.key.members] = static_cast<int>(s.key.members.size());
+      seen_groups_.emplace_back(s.group_id,
+                                static_cast<int>(s.key.members.size()));
       if (s.key.members.size() > 1) {
         gamma_sum += s.group_gamma;
         ++grouped;
@@ -1017,10 +1042,13 @@ void ExecutionEngine::observe_metrics() {
   if (grouped > 0) gamma_avg_.observe(now_, gamma_sum / grouped);
   if (running > 0) {
     rate_avg_.observe(now_, rate_sum / running);
+    std::sort(seen_groups_.begin(), seen_groups_.end());
+    seen_groups_.erase(std::unique(seen_groups_.begin(), seen_groups_.end()),
+                       seen_groups_.end());
     double width_sum = 0;
-    for (const auto& [members, width] : groups_seen) width_sum += width;
+    for (const auto& [gid, width] : seen_groups_) width_sum += width;
     width_avg_.observe(now_,
-                       width_sum / static_cast<double>(groups_seen.size()));
+                       width_sum / static_cast<double>(seen_groups_.size()));
   }
   for (int j = 0; j < kNumResources; ++j) {
     util_avg_[static_cast<size_t>(j)].observe(
@@ -1207,7 +1235,8 @@ void ExecutionEngine::emit_busy_counters() {
   if (tracer == nullptr) return;
   std::vector<std::array<double, kNumResources>> density(
       static_cast<size_t>(options_.cluster.num_machines));
-  for (const JobState& s : jobs_) {
+  for (JobId id : live_) {
+    const JobState& s = jobs_[static_cast<size_t>(id)];
     if (s.phase != JobPhase::kRunning || s.acct == nullptr) continue;
     if (!(s.period > 0) || !std::isfinite(s.period)) continue;
     size_t m = s.acct->machine >= 0 ? static_cast<size_t>(s.acct->machine)

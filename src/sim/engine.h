@@ -34,7 +34,9 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -213,6 +215,7 @@ class ExecutionEngine {
     GroupAccount* acct = nullptr;
     Time first_scheduled = -1;
     Time end_time = -1;
+    std::int64_t placed_round = 0;  // rounds_ of the last placement
     // Open run-stage trace span (kNoTime = none) and its machine track.
     Time run_since = kNoTime;
     MachineId run_machine = kInvalidMachine;
@@ -234,6 +237,12 @@ class ExecutionEngine {
 
   JobState* find(JobId id);
   const JobState* find(JobId id) const;
+  static bool is_live(const JobState& s) {
+    return s.phase == JobPhase::kQueued || s.phase == JobPhase::kRunning;
+  }
+  // Drops ids that finished or were cancelled since the last prune. Never
+  // called inside a loop over live_: those loops check the phase instead.
+  void prune_live();
   Time projected_finish(const JobState& s) const;
   double straggler_factor_for(const Job& job,
                               const std::vector<MachineId>& machines) const;
@@ -275,7 +284,17 @@ class ExecutionEngine {
   WorkerMonitor monitor_;
 
   std::vector<JobState> jobs_;  // indexed by JobId
-  std::map<JobId, Rng> fault_rng_;  // per-job fault substreams
+  // Ids of the queued and running jobs, ascending. Every per-step loop
+  // walks this list instead of jobs_, so a step costs the live jobs, not
+  // every job ever submitted; id order fixes the order of float sums and
+  // records. It may hold ended ids until the next prune_live().
+  std::vector<JobId> live_;
+  bool live_stale_ = false;
+  // Per-job fault substreams, indexed by id (boxed: an mt19937_64 is
+  // 2.5 KB, and ids the engine never sees need no slot's worth).
+  std::vector<std::unique_ptr<Rng>> fault_rng_;
+  // observe_metrics scratch: (group id, width) of each running job.
+  std::vector<std::pair<std::int64_t, int>> seen_groups_;
   std::map<OwnerId, RunningGroup> running_groups_;
   std::vector<ResourceVector> machine_slow_;
   std::int64_t group_seq_ = 0;

@@ -233,6 +233,38 @@ TEST(ServiceDaemon, RejectsMalformedSubmissions) {
   daemon.stop();
 }
 
+// Numbers outside the int / int64 range are refused before any cast; a
+// normal submit still passes.
+TEST(ServiceDaemon, RejectsOutOfRangeNumbersInSubmit) {
+  MuriDaemon daemon(manual_options());
+  std::string error;
+  ASSERT_TRUE(daemon.start(&error)) << error;
+
+  EXPECT_EQ(post_json(daemon, "/jobs",
+                      "{\"model\":\"resnet18\",\"gpus\":1e300,"
+                      "\"iterations\":1}")
+                .status,
+            400);
+  EXPECT_EQ(post_json(daemon, "/jobs",
+                      "{\"model\":\"resnet18\",\"gpus\":1,"
+                      "\"iterations\":1e300}")
+                .status,
+            400);
+  EXPECT_EQ(post_json(daemon, "/jobs",
+                      "{\"model\":\"resnet18\",\"gpus\":1,"
+                      "\"iterations\":-1e300}")
+                .status,
+            400);
+  EXPECT_EQ(daemon.queue_stats().accepted, 0);
+
+  const JobId id = submit(daemon, "resnet18", 1, 100);
+  EXPECT_EQ(daemon.queue_stats().accepted, 1);
+  EXPECT_EQ(run_to_completion(daemon, id), "finished");
+  const auto done = parse(get(daemon, "/jobs/" + std::to_string(id)).body);
+  EXPECT_DOUBLE_EQ(done.at("iterations").number, 100);
+  daemon.stop();
+}
+
 TEST(ServiceDaemon, CancelCoversQueuedRunningAndTerminalStates) {
   MuriDaemon daemon(manual_options());
   std::string error;

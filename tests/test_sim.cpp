@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "obs/json.h"
+#include "obs/provenance.h"
 #include "scheduler/baselines.h"
 #include "scheduler/muri.h"
+#include "sim/engine.h"
 #include "sim/simulator.h"
 
 namespace muri {
@@ -259,6 +268,185 @@ TEST(Sim, DeterministicRepeatability) {
   EXPECT_DOUBLE_EQ(a.avg_jct, b.avg_jct);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_DOUBLE_EQ(a.p99_jct, b.p99_jct);
+}
+
+// ---------------------------------------------------------------------------
+// ExecutionEngine: the live-job list behind every per-step loop.
+
+// Records committed since `from` (the log's record count at some earlier
+// point), parsed.
+std::vector<obs::JsonValue> records_since(const obs::DecisionLog& log,
+                                          std::int64_t from) {
+  std::vector<obs::DecisionRecord> all;
+  std::string error;
+  EXPECT_TRUE(obs::parse_decision_log(log.jsonl(), all, &error)) << error;
+  std::vector<obs::JsonValue> out;
+  for (size_t i = static_cast<size_t>(from); i < all.size(); ++i) {
+    out.push_back(std::move(all[i].value));
+  }
+  return out;
+}
+
+std::vector<JobId> ids_in_phase(const ExecutionEngine& engine,
+                                JobPhase phase) {
+  std::vector<JobId> out;
+  for (const JobStatus& st : engine.list_jobs()) {
+    if (st.phase == phase) out.push_back(st.id);
+  }
+  return out;
+}
+
+// The engine's counters agree with a count over list_jobs() phases.
+void expect_counts_match(const ExecutionEngine& engine,
+                         const std::string& step) {
+  const auto queued = ids_in_phase(engine, JobPhase::kQueued).size();
+  const auto running = ids_in_phase(engine, JobPhase::kRunning).size();
+  EXPECT_EQ(static_cast<size_t>(engine.queued_jobs()), queued) << step;
+  EXPECT_EQ(static_cast<size_t>(engine.running_jobs()), running) << step;
+  EXPECT_EQ(static_cast<size_t>(engine.active_jobs()), queued + running)
+      << step;
+}
+
+struct Arrival {
+  Job job;
+  double deadline_s = 0;
+};
+
+// What one engine run covered, for the test to assert its edge cases.
+struct LiveListRun {
+  int finishes = 0;
+  int same_instant_finishes = 0;  // settles that finished >= 2 jobs
+  int degraded = 0;               // faults on a grouped member
+  int deadline_cancels = 0;
+  int client_cancels = 0;
+  int wait_records = 0;
+};
+
+// Drives an engine the way run_simulation does (progress, arrivals,
+// settle, round on a fixed interval), cancels `cancel_id` from outside at
+// the first step at or after `cancel_at`, and checks after every step:
+// the counters match list_jobs(); the finish records of one settle() list
+// ids ascending; and a round's wait record lists exactly the queued ids,
+// ascending, which only holds when no queued job is missing from the
+// engine's live list.
+LiveListRun drive_and_check(const std::vector<Arrival>& arrivals,
+                            Scheduler& scheduler, SimOptions options,
+                            JobId cancel_id, Time cancel_at) {
+  constexpr Time kInf = std::numeric_limits<Time>::infinity();
+  obs::DecisionLog log;
+  options.decisions = &log;
+  ExecutionEngine engine(scheduler, options, 0);
+  LiveListRun run;
+  size_t next = 0;
+  Time last_round = -options.schedule_interval;
+  bool cancelled = false;
+  for (int step = 0; step < 100000; ++step) {
+    const std::string at = "step " + std::to_string(step);
+    if (next == arrivals.size() && engine.active_jobs() == 0) break;
+    const Time t_arrival =
+        next < arrivals.size() ? arrivals[next].job.submit_time : kInf;
+    const Time t_round = last_round + options.schedule_interval;
+    engine.progress_to(std::max(
+        engine.now(),
+        std::min({t_arrival, engine.next_event_time(), t_round})));
+    expect_counts_match(engine, at + " progress_to");
+
+    if (!cancelled && engine.now() >= cancel_at) {
+      cancelled = true;
+      EXPECT_TRUE(engine.cancel(cancel_id, engine.now(), "client")) << at;
+      ++run.client_cancels;
+      expect_counts_match(engine, at + " cancel");
+    }
+    while (next < arrivals.size() &&
+           arrivals[next].job.submit_time <= engine.now()) {
+      engine.submit(arrivals[next].job, "", arrivals[next].deadline_s);
+      ++next;
+      expect_counts_match(engine, at + " submit");
+    }
+
+    const std::int64_t before_settle = log.records();
+    engine.settle();
+    expect_counts_match(engine, at + " settle");
+    std::vector<JobId> finished;
+    for (const obs::JsonValue& r : records_since(log, before_settle)) {
+      const std::string& type = r.at("type").string;
+      if (type == "finish") {
+        finished.push_back(static_cast<JobId>(r.at("job").number));
+      } else if (type == "degraded_continue") {
+        ++run.degraded;
+      }
+    }
+    // Strictly ascending.
+    EXPECT_EQ(std::adjacent_find(finished.begin(), finished.end(),
+                                 std::greater_equal<>()),
+              finished.end())
+        << at;
+    run.finishes += static_cast<int>(finished.size());
+    if (finished.size() >= 2) ++run.same_instant_finishes;
+
+    if (engine.now() >= t_round - 1e-9) {
+      const std::int64_t before_round = log.records();
+      engine.run_round();
+      last_round = engine.now();
+      expect_counts_match(engine, at + " run_round");
+      const std::vector<JobId> queued =
+          ids_in_phase(engine, JobPhase::kQueued);
+      std::vector<JobId> waiting;
+      for (const obs::JsonValue& r : records_since(log, before_round)) {
+        const std::string& type = r.at("type").string;
+        if (type == "job_cancel" && r.at("reason").string == "start_deadline") {
+          ++run.deadline_cancels;
+        } else if (type == "wait") {
+          ++run.wait_records;
+          for (const obs::JsonValue& id : r.at("job").array) {
+            waiting.push_back(static_cast<JobId>(id.number));
+          }
+        }
+      }
+      EXPECT_EQ(waiting, queued) << at;
+    }
+  }
+  EXPECT_EQ(engine.active_jobs(), 0);
+  EXPECT_EQ(run.finishes, static_cast<int>(engine.finished_jobs()));
+  return run;
+}
+
+TEST(EngineLiveList, CountsAndRecordOrderHoldThroughEveryStep) {
+  // One machine with two GPUs under Muri with job faults. Ids arrive out
+  // of order. Jobs 2 and 3 are twins that share one interleaved group and
+  // finish at one instant (adjacent ids, so a loop that erased the first
+  // from the list it walks would skip the second); job 4 wants both GPUs,
+  // ranks last and misses its start deadline; job 1 is cancelled from
+  // outside while it runs.
+  std::vector<Arrival> arrivals;
+  auto add = [&](JobId id, ModelKind m, int gpus, Time submit,
+                 double solo_secs, double deadline_s = 0) {
+    arrivals.push_back({make_job(id, m, gpus, submit, solo_secs), deadline_s});
+  };
+  add(7, ModelKind::kShuffleNet, 1, 0, 900);
+  add(6, ModelKind::kA2c, 1, 0, 900);
+  add(5, ModelKind::kGpt2, 1, 0, 900);
+  add(4, ModelKind::kVgg16, 2, 0, 20000, /*deadline_s=*/100);
+  add(1, ModelKind::kVgg16, 1, 30, 3000);
+  add(3, ModelKind::kResNet18, 1, 60, 300);
+  add(2, ModelKind::kResNet18, 1, 60, 300);
+  add(0, ModelKind::kA2c, 1, 90, 600);
+
+  MuriOptions mopt;
+  mopt.durations_known = true;
+  MuriScheduler muri(mopt);
+  SimOptions opt = small_cluster(1, 2);
+  opt.durations_known = true;
+  opt.mtbf_hours = 0.2;  // faults hit grouped members
+  const LiveListRun run =
+      drive_and_check(arrivals, muri, opt, /*cancel_id=*/1, /*cancel_at=*/400);
+
+  EXPECT_EQ(run.client_cancels, 1);
+  EXPECT_EQ(run.deadline_cancels, 1);
+  EXPECT_EQ(run.finishes, 6);
+  EXPECT_GE(run.same_instant_finishes, 1);
+  EXPECT_GE(run.degraded, 1);
+  EXPECT_GT(run.wait_records, 0);
 }
 
 }  // namespace
