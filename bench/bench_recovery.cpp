@@ -110,17 +110,17 @@ int main(int argc, char** argv) {
       std::cerr << "bench_recovery: resume failed: " << error << '\n';
       return 1;
     }
-    std::cerr << "bench_recovery: recovered " << report.records_on_disk
+    const recovery::RecoverResult& r = report.recovered;
+    std::cerr << "bench_recovery: recovered " << r.records_on_disk
               << " durable records"
-              << (report.used_snapshot ? " (snapshot + " : " (full replay, ")
-              << report.suffix_replayed << " replayed)"
-              << (report.torn_tail ? ", torn tail truncated" : "")
+              << (r.used_snapshot ? " (snapshot + " : " (full replay, ")
+              << r.replayed_records << " replayed)"
+              << (r.torn ? ", torn tail truncated" : "")
               << "; verified " << report.records_verified << ", appended "
               << report.records_appended << '\n';
     std::cerr << "bench_recovery: recovered state: round "
-              << report.recovered.round << ", "
-              << report.recovered.running.size() << " running, "
-              << report.recovered.finished.size() << " finished\n";
+              << r.state.round << ", " << r.state.running.size()
+              << " running, " << r.state.finished.size() << " finished\n";
   } else {
     // Clean (or to-be-crashed) run: fresh WAL, crash env honored.
     sink_options.honor_crash_env = true;

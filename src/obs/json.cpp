@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 
 namespace muri::obs {
 
@@ -245,6 +246,13 @@ const JsonValue& JsonValue::at(const std::string& key) const {
   if (type != Type::kObject) return null_value();
   const auto it = object.find(key);
   return it != object.end() ? it->second : null_value();
+}
+
+std::int64_t JsonValue::as_int() const noexcept {
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (!(number > -kTwoTo63)) return std::numeric_limits<std::int64_t>::min();
+  if (number >= kTwoTo63) return std::numeric_limits<std::int64_t>::max();
+  return static_cast<std::int64_t>(number);
 }
 
 bool parse_json(std::string_view text, JsonValue& out, std::string* error) {

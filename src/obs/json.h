@@ -7,6 +7,7 @@
 // passed through verbatim, no streaming — not a general-purpose library.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,6 +34,11 @@ struct JsonValue {
 
   // Object member or null-typed sentinel when absent / not an object.
   const JsonValue& at(const std::string& key) const;
+
+  // The number truncated to an integer and saturated to int64's range
+  // (NaN reads as the minimum): input can carry any double, and casting
+  // one out of range is undefined.
+  std::int64_t as_int() const noexcept;
 };
 
 // Parses `text` into `out`. On failure returns false and, if `error` is

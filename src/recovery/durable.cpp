@@ -34,6 +34,45 @@ std::int64_t env_int64(const char* name) {
   return std::strtoll(v, nullptr, 10);
 }
 
+// Loads the last snapshot frame (if any) and folds the record frames
+// after it: the one fold recover_wal and a resuming DurableSink share.
+bool recover_frames(const WalReadResult& decoded, RecoverResult& out,
+                    std::string* error) {
+  out = RecoverResult{};
+  out.torn = decoded.torn;
+  out.torn_reason = decoded.torn_reason;
+  out.valid_bytes = decoded.valid_bytes;
+  const std::vector<WalFrame>& frames = decoded.frames;
+  std::size_t suffix = 0;  // first frame after the last snapshot
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (frames[i].kind == FrameKind::kSnapshot) {
+      suffix = i + 1;
+      ++out.snapshot_frames;
+    }
+  }
+  if (suffix > 0) {
+    if (!state_from_json(frames[suffix - 1].payload, out.state, error)) {
+      return false;
+    }
+    out.used_snapshot = true;
+  }
+  for (std::size_t i = suffix; i < frames.size(); ++i) {
+    obs::JsonValue rec;
+    if (!obs::parse_json(frames[i].payload, rec, error) ||
+        !apply_record(out.state, rec, error)) {
+      if (error != nullptr) {
+        *error = "record frame " + std::to_string(i) + ": " + *error;
+      }
+      return false;
+    }
+    ++out.replayed_records;
+  }
+  // A snapshot counts the records folded into it, so the fold's count is
+  // the ordinal of the last durable record, a compacted head included.
+  out.records_on_disk = out.state.records;
+  return true;
+}
+
 }  // namespace
 
 DurableSink::DurableSink(std::string path, DurableSinkOptions options)
@@ -42,62 +81,43 @@ DurableSink::DurableSink(std::string path, DurableSinkOptions options)
     crash_at_ = env_int64("MURI_CRASH_AT");
     crash_torn_ = env_int64("MURI_CRASH_TORN") != 0;
   }
-  if (options_.resume) {
+  if (options_.resume || options_.append_resume) {
+    // One read and one fold of the durable prefix. A missing file is a
+    // legal resume: nothing was durable yet.
     WalReadResult decoded;
     std::string io_error;
     if (read_wal_file(path_, decoded, &io_error)) {
-      if (decoded.torn && !truncate_wal_file(path_, &error_)) {
+      if ((decoded.torn &&
+           !truncate_wal_file(path_, decoded.valid_bytes, &error_)) ||
+          !recover_frames(decoded, recovered_, &error_)) {
         ok_ = false;
         return;
       }
-      for (std::size_t i = 0; i < decoded.frames.size(); ++i) {
-        const WalFrame& frame = decoded.frames[i];
-        if (frame.kind == FrameKind::kSnapshot) {
-          if (i == 0) {
-            // A head snapshot means the file was compacted: it covers
-            // ordinals 1..records, which no longer exist as frames.
-            ReplayState head;
-            if (!state_from_json(frame.payload, head, &error_)) {
-              ok_ = false;
-              return;
-            }
-            head_covered_ = head.records;
+      const std::int64_t on_disk = recovered_.records_on_disk;
+      if (options_.append_resume) {
+        // Ordinals continue after the durable prefix; no byte-verification
+        // window, so every new record lands in the append branch.
+        ordinal_ = on_disk;
+        if (options_.snapshot_every_records > 0) fold_ = recovered_.state;
+      } else {
+        for (WalFrame& frame : decoded.frames) {
+          if (frame.kind == FrameKind::kRecord) {
+            expected_.push_back(std::move(frame.payload));
           }
-          continue;  // cadence snapshots carry no new ordinals
         }
-        expected_.push_back(frame.payload);
-      }
-      const std::int64_t on_disk =
-          head_covered_ + static_cast<std::int64_t>(expected_.size());
-      // A crash can cut the file between a record and the cadence
-      // snapshot due right after it; note the gap so the resumed run
-      // restores the snapshot at the same file position.
-      if (options_.snapshot_every_records > 0 && !decoded.frames.empty() &&
-          decoded.frames.back().kind == FrameKind::kRecord &&
-          on_disk % options_.snapshot_every_records == 0) {
-        missing_snapshot_at_ = on_disk;
+        // A compacted head snapshot covers the ordinals before the first
+        // record frame, which no longer exist as frames.
+        head_covered_ = on_disk - static_cast<std::int64_t>(expected_.size());
+        // A crash can cut the file between a record and the cadence
+        // snapshot due right after it; note the gap so the resumed run
+        // restores the snapshot at the same file position.
+        if (options_.snapshot_every_records > 0 && !decoded.frames.empty() &&
+            decoded.frames.back().kind == FrameKind::kRecord &&
+            on_disk % options_.snapshot_every_records == 0) {
+          missing_snapshot_at_ = on_disk;
+        }
       }
     }
-    // A missing file is a legal resume (nothing was durable yet).
-  } else if (options_.append_resume) {
-    WalReadResult decoded;
-    std::string io_error;
-    if (read_wal_file(path_, decoded, &io_error)) {
-      if (decoded.torn && !truncate_wal_file(path_, &error_)) {
-        ok_ = false;
-        return;
-      }
-      RecoverResult recovered;
-      if (!recover_wal(path_, recovered, &error_)) {
-        ok_ = false;
-        return;
-      }
-      // Ordinals continue after the durable prefix; no byte-verification
-      // window, so every new record lands in the append branch.
-      ordinal_ = recovered.records_on_disk;
-      if (options_.snapshot_every_records > 0) fold_ = recovered.state;
-    }
-    // A missing file is a legal first start.
   }
   const int flags = options_.resume || options_.append_resume
                         ? (O_WRONLY | O_CREAT | O_APPEND)
@@ -242,92 +262,29 @@ bool recover_wal(const std::string& path, RecoverResult& out,
                  std::string* error) {
   out = RecoverResult{};
   WalReadResult decoded;
-  if (!read_wal_file(path, decoded, error)) return false;
-  out.torn = decoded.torn;
-  out.torn_reason = decoded.torn_reason;
-  out.valid_bytes = decoded.valid_bytes;
-
-  std::ptrdiff_t last_snapshot = -1;
-  std::int64_t head_covered = 0;
-  for (std::size_t i = 0; i < decoded.frames.size(); ++i) {
-    if (decoded.frames[i].kind == FrameKind::kSnapshot) {
-      last_snapshot = static_cast<std::ptrdiff_t>(i);
-      ++out.snapshot_frames;
-    }
-  }
-  if (!decoded.frames.empty() &&
-      decoded.frames[0].kind == FrameKind::kSnapshot) {
-    ReplayState head;
-    if (!state_from_json(decoded.frames[0].payload, head, error)) {
-      return false;
-    }
-    head_covered = head.records;
-  }
-
-  ReplayEngine engine;
-  if (last_snapshot >= 0) {
-    if (!engine.load_snapshot(
-            decoded.frames[static_cast<std::size_t>(last_snapshot)].payload,
-            error)) {
-      return false;
-    }
-    out.used_snapshot = true;
-  }
-  std::int64_t record_frames = 0;
-  for (std::size_t i = 0; i < decoded.frames.size(); ++i) {
-    if (decoded.frames[i].kind != FrameKind::kRecord) continue;
-    ++record_frames;
-    if (static_cast<std::ptrdiff_t>(i) < last_snapshot) continue;
-    if (!engine.apply_line(decoded.frames[i].payload, error)) {
-      if (error != nullptr) {
-        *error = "record frame " + std::to_string(i) + ": " + *error;
-      }
-      return false;
-    }
-    ++out.replayed_records;
-  }
-  out.state = engine.state();
-  out.records_on_disk = head_covered + record_frames;
-  return true;
+  return read_wal_file(path, decoded, error) &&
+         recover_frames(decoded, out, error);
 }
 
 bool compact_wal(const std::string& path, std::string* error) {
   WalReadResult decoded;
   if (!read_wal_file(path, decoded, error)) return false;
-
-  std::ptrdiff_t last_snapshot = -1;
-  for (std::size_t i = 0; i < decoded.frames.size(); ++i) {
-    if (decoded.frames[i].kind == FrameKind::kSnapshot) {
-      last_snapshot = static_cast<std::ptrdiff_t>(i);
-    }
-  }
-
+  // Keep the newest snapshot and the record suffix after it, dropping the
+  // replayed prefix and the older snapshots it subsumes. A file without
+  // snapshots folds into one head snapshot.
+  const std::vector<WalFrame>& frames = decoded.frames;
+  std::size_t keep = frames.size();
+  while (keep > 0 && frames[keep - 1].kind == FrameKind::kRecord) --keep;
   std::string bytes;
-  if (last_snapshot >= 0) {
-    // Keep the newest snapshot and the record suffix after it; drop the
-    // replayed prefix and the older snapshots it subsumes.
-    append_wal_frame(
-        bytes, FrameKind::kSnapshot,
-        decoded.frames[static_cast<std::size_t>(last_snapshot)].payload);
-    for (std::size_t i = static_cast<std::size_t>(last_snapshot) + 1;
-         i < decoded.frames.size(); ++i) {
-      if (decoded.frames[i].kind == FrameKind::kRecord) {
-        append_wal_frame(bytes, FrameKind::kRecord,
-                         decoded.frames[i].payload);
-      }
-    }
+  if (keep == 0) {
+    RecoverResult all;
+    if (!recover_frames(decoded, all, error)) return false;
+    append_wal_frame(bytes, FrameKind::kSnapshot, state_json(all.state));
   } else {
-    // No snapshot to anchor on: fold everything into one. Account for a
-    // compacted head that recover_wal would have credited (cannot happen
-    // here — a compacted file starts with a snapshot — but fold from
-    // scratch keeps the invariant obvious).
-    ReplayEngine engine;
-    for (const WalFrame& frame : decoded.frames) {
-      if (frame.kind != FrameKind::kRecord) continue;
-      if (!engine.apply_line(frame.payload, error)) return false;
-    }
-    append_wal_frame(bytes, FrameKind::kSnapshot,
-                     state_json(engine.state()));
+    --keep;  // the snapshot itself
+  }
+  for (std::size_t i = keep; i < frames.size(); ++i) {
+    append_wal_frame(bytes, frames[i].kind, frames[i].payload);
   }
 
   std::ofstream outf(path, std::ios::binary | std::ios::trunc);

@@ -12,7 +12,9 @@
 //
 // Recovery leans on the determinism the DecisionLog already guarantees:
 // a fixed-seed run regenerates the exact same byte sequence of records.
-// A resumed sink therefore re-attaches to the existing WAL and, as the
+// A resumed sink therefore reads the existing WAL once at open (truncating
+// a torn tail in place and folding the durable prefix into recovered(),
+// the same fold recover_wal runs), re-attaches to it and, as the
 // re-executed run regenerates records, (a) skips ordinals a compacted
 // head snapshot covers, (b) byte-verifies ordinals that are already on
 // disk — any mismatch flags divergence instead of corrupting the log —
@@ -63,7 +65,8 @@ struct DurableSinkOptions {
   // the on-disk records (records_seen() starts at that count, and the
   // snapshot fold is pre-loaded from the recovered state so cadence
   // snapshots stay truthful), and every new record appends immediately.
-  // Mutually exclusive with `resume`.
+  // The daemon re-admits its jobs from recovered().state. Mutually
+  // exclusive with `resume`.
   bool append_resume = false;
   // Honor MURI_CRASH_AT / MURI_CRASH_TORN (CI crash sweeps only).
   bool honor_crash_env = false;
@@ -74,6 +77,22 @@ struct DurableSinkOptions {
   // ordinal (1-based). Observational: must not throw (it runs inside
   // DecisionLog::Entry's destructor).
   std::function<void(std::int64_t)> boundary_hook;
+};
+
+// Result of reading a WAL back into scheduler state.
+struct RecoverResult {
+  ReplayState state;
+  // Record ordinals present on disk: those a compacted head snapshot
+  // covers plus the record frames. A resumed run re-appends starting at
+  // records_on_disk + 1.
+  std::int64_t records_on_disk = 0;
+  std::int64_t snapshot_frames = 0;
+  // Suffix length actually replayed (records after the last snapshot).
+  std::int64_t replayed_records = 0;
+  bool used_snapshot = false;
+  bool torn = false;
+  std::string torn_reason;
+  std::size_t valid_bytes = 0;
 };
 
 class DurableSink : public obs::DecisionLog::Sink {
@@ -100,13 +119,15 @@ class DurableSink : public obs::DecisionLog::Sink {
   // sync() + close the descriptor; further records are dropped.
   void close();
 
+  // What resume/append_resume read at open: the WAL's folded state and
+  // its torn-tail report (read_wal_file once, then the fold recover_wal
+  // runs). Empty for a fresh sink or a missing file.
+  const RecoverResult& recovered() const noexcept { return recovered_; }
+
   // Counters for reports and tests.
   std::int64_t records_seen() const noexcept { return ordinal_; }
   std::int64_t records_verified() const noexcept { return verified_; }
   std::int64_t records_appended() const noexcept { return appended_; }
-  std::int64_t records_covered_by_snapshot() const noexcept {
-    return head_covered_;
-  }
 
   // Cumulative I/O cost of the durable path, feeding the daemon's /stats
   // dashboard and the wal_fsync_s SLO target. Callers that read this
@@ -146,6 +167,7 @@ class DurableSink : public obs::DecisionLog::Sink {
   IoStats io_;
 
   // Resume bookkeeping.
+  RecoverResult recovered_;
   std::int64_t head_covered_ = 0;          // ordinals a head snapshot covers
   std::vector<std::string> expected_;      // on-disk record payloads after it
   // Ordinal of a cadence snapshot the old tail lost to truncation (its
@@ -159,21 +181,6 @@ class DurableSink : public obs::DecisionLog::Sink {
   // Incremental fold for snapshot payloads (maintained only when
   // snapshots are enabled).
   ReplayState fold_;
-};
-
-// Result of reading a WAL back into scheduler state.
-struct RecoverResult {
-  ReplayState state;
-  // Record ordinals present on disk: head-snapshot coverage + record
-  // frames. A resumed run re-appends starting at records_on_disk + 1.
-  std::int64_t records_on_disk = 0;
-  std::int64_t snapshot_frames = 0;
-  // Suffix length actually replayed (records after the last snapshot).
-  std::int64_t replayed_records = 0;
-  bool used_snapshot = false;
-  bool torn = false;
-  std::string torn_reason;
-  std::size_t valid_bytes = 0;
 };
 
 // Reconstructs state from `path`: loads the last snapshot frame (if any)

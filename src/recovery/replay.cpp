@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 
 #include "common/stats.h"
 
@@ -12,22 +11,13 @@ namespace {
 
 using obs::JsonValue;
 
-// The integer a JSON number holds, saturated to int64's range: a corrupt
-// WAL can carry any double, and casting one out of range is undefined.
-std::int64_t as_int(const JsonValue& v) {
-  constexpr double kTwoTo63 = 9223372036854775808.0;
-  if (!(v.number > -kTwoTo63)) return std::numeric_limits<std::int64_t>::min();
-  if (v.number >= kTwoTo63) return std::numeric_limits<std::int64_t>::max();
-  return static_cast<std::int64_t>(v.number);
-}
-
 bool int_array(const JsonValue& v, std::vector<std::int64_t>& out) {
   if (!v.is_array()) return false;
   out.clear();
   out.reserve(v.array.size());
   for (const auto& e : v.array) {
     if (!e.is_number()) return false;
-    out.push_back(as_int(e));
+    out.push_back(e.as_int());
   }
   return true;
 }
@@ -83,7 +73,7 @@ bool read_int(const JsonValue& obj, const char* key, std::int64_t& out,
     }
     return false;
   }
-  out = as_int(v);
+  out = v.as_int();
   return true;
 }
 
@@ -133,7 +123,7 @@ bool apply_record(ReplayState& state, const JsonValue& rec,
   // Explanation records carry no state; skipped uncounted, they leave a
   // full log and its state-tier WAL replaying to equal states.
   if (obs::is_explanation_record(type)) return true;
-  const std::int64_t round = as_int(round_v);
+  const std::int64_t round = round_v.as_int();
   ++state.records;
   state.round = std::max(state.round, round);
   const JsonValue& t_v = rec.at("t");
@@ -142,10 +132,13 @@ bool apply_record(ReplayState& state, const JsonValue& rec,
   const auto field_fail = [&](const char* key) {
     return fail("record type \"" + type + "\" missing field \"" + key + "\"");
   };
+  const JsonValue& job_v = rec.at("job");
+  if (job_v.is_number()) {
+    state.max_job = std::max(state.max_job, job_v.as_int());
+  }
   const auto job_of = [&](std::int64_t& out) {
-    const JsonValue& v = rec.at("job");
-    if (!v.is_number()) return false;
-    out = as_int(v);
+    if (!job_v.is_number()) return false;
+    out = job_v.as_int();
     return true;
   };
 
@@ -158,11 +151,12 @@ bool apply_record(ReplayState& state, const JsonValue& rec,
     if (!rec.at("machines").is_number() || !rec.at("gpus").is_number()) {
       return field_fail("machines/gpus");
     }
-    state.machines = as_int(rec.at("machines"));
-    state.total_gpus = as_int(rec.at("gpus"));
+    state.machines = rec.at("machines").as_int();
+    state.total_gpus = rec.at("gpus").as_int();
     state.arrived.clear();
     state.running.clear();
     state.finished.clear();
+    state.jobs.clear();
     state.placement_round = -1;
     state.groups.clear();
     state.machines_down.clear();
@@ -196,10 +190,14 @@ bool apply_record(ReplayState& state, const JsonValue& rec,
       return field_fail("machines");
     }
     if (!rec.at("gpus").is_number()) return field_fail("gpus");
-    group.gpus = as_int(rec.at("gpus"));
+    group.gpus = rec.at("gpus").as_int();
     if (rec.at("mode").is_string()) group.mode = rec.at("mode").string;
-    if (rec.at("owner").is_number()) group.owner = as_int(rec.at("owner"));
-    for (const std::int64_t job : group.jobs) state.running.insert(job);
+    if (rec.at("owner").is_number()) group.owner = rec.at("owner").as_int();
+    for (const std::int64_t job : group.jobs) {
+      state.running.insert(job);
+      const auto it = state.jobs.find(job);
+      if (it != state.jobs.end()) it->second.deadline_s = 0;
+    }
     state.groups.push_back(std::move(group));
   } else if (type == "preempt") {
     std::int64_t job;
@@ -219,29 +217,51 @@ bool apply_record(ReplayState& state, const JsonValue& rec,
     ++state.faults;
   } else if (type == "machine_down") {
     if (!rec.at("machine").is_number()) return field_fail("machine");
-    state.machines_down.insert(as_int(rec.at("machine")));
+    state.machines_down.insert(rec.at("machine").as_int());
     ++state.machine_failures;
   } else if (type == "machine_up") {
     if (!rec.at("machine").is_number()) return field_fail("machine");
-    state.machines_down.erase(as_int(rec.at("machine")));
+    state.machines_down.erase(rec.at("machine").as_int());
   } else if (type == "finish") {
     std::int64_t job;
     if (!job_of(job)) return field_fail("job");
     if (!rec.at("jct").is_number()) return field_fail("jct");
     drop_running_job(state, job);
     state.finished.insert(job);
+    state.jobs.erase(job);
     state.jcts.push_back(rec.at("jct").number);
   } else if (type == "sim_end") {
     if (!rec.at("makespan").is_number()) return field_fail("makespan");
     state.makespan = rec.at("makespan").number;
-    state.finished_jobs = as_int(rec.at("finished"));
-    state.unfinished_jobs = as_int(rec.at("unfinished"));
+    state.finished_jobs = rec.at("finished").as_int();
+    state.unfinished_jobs = rec.at("unfinished").as_int();
     state.run_complete = true;
   } else if (type == "job_submit") {
-    // Service-daemon admission (src/service): the online twin of arrival.
+    // Service-daemon admission (src/service): the online twin of arrival,
+    // and the spec a restarted daemon re-admits the job with.
     std::int64_t job;
     if (!job_of(job)) return field_fail("job");
+    const JsonValue& model = rec.at("model");
+    if (!model.is_string()) return field_fail("model");
+    if (!rec.at("gpus").is_number()) return field_fail("gpus");
+    if (!rec.at("iterations").is_number()) return field_fail("iterations");
     state.arrived.insert(job);
+    ReplayJob& entry = state.jobs[job];
+    entry = ReplayJob{};
+    if (t_v.is_number()) entry.submit_t = t_v.number;
+    entry.model = model.string;
+    entry.gpus = rec.at("gpus").as_int();
+    entry.iterations = rec.at("iterations").as_int();
+    if (rec.at("name").is_string()) entry.name = rec.at("name").string;
+    if (rec.at("deadline_s").is_number()) {
+      entry.deadline_s = rec.at("deadline_s").number;
+    }
+  } else if (type == "job_progress" || type == "job_restore") {
+    std::int64_t job;
+    if (!job_of(job)) return field_fail("job");
+    if (!rec.at("done").is_number()) return field_fail("done");
+    const auto it = state.jobs.find(job);
+    if (it != state.jobs.end()) it->second.done = rec.at("done").number;
   } else if (type == "job_cancel") {
     // A cancelled job leaves the system entirely — not queued, not
     // running, and never a finished/JCT datapoint.
@@ -249,11 +269,19 @@ bool apply_record(ReplayState& state, const JsonValue& rec,
     if (!job_of(job)) return field_fail("job");
     drop_running_job(state, job);
     state.arrived.erase(job);
+    state.jobs.erase(job);
+  } else if (type == "daemon_start") {
+    // The daemon's cluster shape. No reset: a restarted daemon continues
+    // the state its WAL holds.
+    if (!rec.at("machines").is_number() || !rec.at("gpus").is_number()) {
+      return field_fail("machines/gpus");
+    }
+    state.machines = rec.at("machines").as_int();
+    state.total_gpus = rec.at("gpus").as_int();
   }
   // Every other state type (round_end, degraded_continue, exec_*,
-  // job_progress, job_restore, daemon_start, daemon_stop, wait,
-  // straggler) carries no state replay tracks beyond the counters
-  // already bumped.
+  // daemon_stop, wait, straggler) carries no state replay tracks beyond
+  // the counters already bumped.
   return true;
 }
 
@@ -278,6 +306,31 @@ std::string state_json(const ReplayState& state) {
   append_int_set(out, state.running);
   out += ",\"finished\":";
   append_int_set(out, state.finished);
+  out += ",\"max_job\":";
+  append_int(out, state.max_job);
+  out += ",\"jobs\":[";
+  for (auto it = state.jobs.begin(); it != state.jobs.end(); ++it) {
+    const ReplayJob& job = it->second;
+    if (it != state.jobs.begin()) out += ',';
+    out += "{\"job\":";
+    append_int(out, it->first);
+    out += ",\"t\":";
+    obs::append_json_double(out, job.submit_t);
+    out += ",\"model\":\"";
+    obs::append_json_escaped(out, job.model);
+    out += "\",\"gpus\":";
+    append_int(out, job.gpus);
+    out += ",\"iterations\":";
+    append_int(out, job.iterations);
+    out += ",\"name\":\"";
+    obs::append_json_escaped(out, job.name);
+    out += "\",\"deadline_s\":";
+    obs::append_json_double(out, job.deadline_s);
+    out += ",\"done\":";
+    obs::append_json_double(out, job.done);
+    out += '}';
+  }
+  out += ']';
   out += ",\"placement_round\":";
   append_int(out, state.placement_round);
   out += ",\"groups\":[";
@@ -327,68 +380,36 @@ bool state_from_json(std::string_view json, ReplayState& out,
                      std::string* error) {
   JsonValue root;
   if (!obs::parse_json(json, root, error)) return false;
-  if (!root.is_object() || !root.at("type").is_string() ||
-      root.at("type").string != "replay_state") {
-    if (error != nullptr) *error = "not a replay_state snapshot";
+  const auto fail = [&](const char* what) {
+    if (error != nullptr) *error = what;
     return false;
+  };
+  if (root.at("type").string != "replay_state") {
+    return fail("not a replay_state snapshot");
+  }
+  const JsonValue& jobs = root.at("jobs");
+  const JsonValue& groups = root.at("groups");
+  const JsonValue& jcts = root.at("jcts");
+  if (!root.at("sim_time").is_number() || !root.at("makespan").is_number() ||
+      !jobs.is_array() || !groups.is_array() || !jcts.is_array()) {
+    return fail("snapshot missing sim_time, makespan, jobs, groups or jcts");
   }
   ReplayState state;
-  if (!read_int(root, "runs", state.runs, error)) return false;
-  if (!read_int(root, "records", state.records, error)) return false;
-  if (!read_int(root, "round", state.round, error)) return false;
-  if (!root.at("sim_time").is_number()) {
-    if (error != nullptr) *error = "snapshot missing number \"sim_time\"";
-    return false;
-  }
   state.sim_time = root.at("sim_time").number;
-  state.run_complete = root.at("run_complete").boolean;
-  if (!read_int(root, "machines", state.machines, error)) return false;
-  if (!read_int(root, "gpus", state.total_gpus, error)) return false;
-  if (!read_int_set(root, "arrived", state.arrived, error)) return false;
-  if (!read_int_set(root, "running", state.running, error)) return false;
-  if (!read_int_set(root, "finished", state.finished, error)) return false;
-  if (!read_int(root, "placement_round", state.placement_round, error)) {
-    return false;
-  }
-  const JsonValue& groups = root.at("groups");
-  if (!groups.is_array()) {
-    if (error != nullptr) *error = "snapshot missing array \"groups\"";
-    return false;
-  }
-  for (const JsonValue& g : groups.array) {
-    ReplayGroup group;
-    if (!g.is_object() || !int_array(g.at("jobs"), group.jobs) ||
-        !int_array(g.at("machines"), group.machines) ||
-        !g.at("gpus").is_number() || !g.at("owner").is_number()) {
-      if (error != nullptr) *error = "malformed snapshot group";
-      return false;
-    }
-    group.gpus = as_int(g.at("gpus"));
-    group.owner = as_int(g.at("owner"));
-    if (g.at("mode").is_string()) group.mode = g.at("mode").string;
-    state.groups.push_back(std::move(group));
-  }
-  if (!read_int_set(root, "machines_down", state.machines_down, error)) {
-    return false;
-  }
-  const JsonValue& jcts = root.at("jcts");
-  if (!jcts.is_array()) {
-    if (error != nullptr) *error = "snapshot missing array \"jcts\"";
-    return false;
-  }
-  for (const JsonValue& v : jcts.array) {
-    if (!v.is_number()) {
-      if (error != nullptr) *error = "non-numeric jct in snapshot";
-      return false;
-    }
-    state.jcts.push_back(v.number);
-  }
-  if (!root.at("makespan").is_number()) {
-    if (error != nullptr) *error = "snapshot missing number \"makespan\"";
-    return false;
-  }
   state.makespan = root.at("makespan").number;
-  if (!read_int(root, "finished_jobs", state.finished_jobs, error) ||
+  state.run_complete = root.at("run_complete").boolean;
+  if (!read_int(root, "runs", state.runs, error) ||
+      !read_int(root, "records", state.records, error) ||
+      !read_int(root, "round", state.round, error) ||
+      !read_int(root, "machines", state.machines, error) ||
+      !read_int(root, "gpus", state.total_gpus, error) ||
+      !read_int_set(root, "arrived", state.arrived, error) ||
+      !read_int_set(root, "running", state.running, error) ||
+      !read_int_set(root, "finished", state.finished, error) ||
+      !read_int(root, "max_job", state.max_job, error) ||
+      !read_int(root, "placement_round", state.placement_round, error) ||
+      !read_int_set(root, "machines_down", state.machines_down, error) ||
+      !read_int(root, "finished_jobs", state.finished_jobs, error) ||
       !read_int(root, "unfinished_jobs", state.unfinished_jobs, error) ||
       !read_int(root, "faults", state.faults, error) ||
       !read_int(root, "restarts", state.restarts, error) ||
@@ -397,6 +418,38 @@ bool state_from_json(std::string_view json, ReplayState& out,
       !read_int(root, "scheduler_invocations", state.scheduler_invocations,
                 error)) {
     return false;
+  }
+  for (const JsonValue& j : jobs.array) {
+    if (!j.at("job").is_number() || !j.at("t").is_number() ||
+        !j.at("model").is_string() || !j.at("gpus").is_number() ||
+        !j.at("iterations").is_number() || !j.at("name").is_string() ||
+        !j.at("deadline_s").is_number() || !j.at("done").is_number()) {
+      return fail("malformed snapshot job");
+    }
+    ReplayJob& job = state.jobs[j.at("job").as_int()];
+    job.submit_t = j.at("t").number;
+    job.model = j.at("model").string;
+    job.gpus = j.at("gpus").as_int();
+    job.iterations = j.at("iterations").as_int();
+    job.name = j.at("name").string;
+    job.deadline_s = j.at("deadline_s").number;
+    job.done = j.at("done").number;
+  }
+  for (const JsonValue& g : groups.array) {
+    ReplayGroup group;
+    if (!int_array(g.at("jobs"), group.jobs) ||
+        !int_array(g.at("machines"), group.machines) ||
+        !g.at("gpus").is_number() || !g.at("owner").is_number()) {
+      return fail("malformed snapshot group");
+    }
+    group.gpus = g.at("gpus").as_int();
+    group.owner = g.at("owner").as_int();
+    if (g.at("mode").is_string()) group.mode = g.at("mode").string;
+    state.groups.push_back(std::move(group));
+  }
+  for (const JsonValue& v : jcts.array) {
+    if (!v.is_number()) return fail("non-numeric jct in snapshot");
+    state.jcts.push_back(v.number);
   }
   out = std::move(state);
   return true;
@@ -449,17 +502,6 @@ std::string state_text(const ReplayState& state) {
            std::to_string(state.unfinished_jobs) + " unfinished\n";
   }
   return out;
-}
-
-bool ReplayEngine::load_snapshot(std::string_view snapshot_json,
-                                 std::string* error) {
-  return state_from_json(snapshot_json, state_, error);
-}
-
-bool ReplayEngine::apply_line(std::string_view line, std::string* error) {
-  obs::JsonValue rec;
-  if (!obs::parse_json(line, rec, error)) return false;
-  return apply_record(state_, rec, error);
 }
 
 bool ReplayEngine::replay(std::string_view jsonl, std::string* error,

@@ -1,7 +1,5 @@
 #include "recovery/resume.h"
 
-#include <fstream>
-
 namespace muri::recovery {
 
 bool resume_simulation(const Trace& trace, Scheduler& scheduler,
@@ -10,26 +8,11 @@ bool resume_simulation(const Trace& trace, Scheduler& scheduler,
                        ResumeReport& report, std::string* error) {
   report = ResumeReport{};
 
-  // Phase 1: reconstruct state from the durable prefix — what a daemon
-  // would serve from while catching up. A missing file is a cold start.
-  const bool have_wal = std::ifstream(options.wal_path).good();
-  if (have_wal) {
-    RecoverResult recovered;
-    if (!recover_wal(options.wal_path, recovered, error)) return false;
-    if (recovered.torn && !truncate_wal_file(options.wal_path, error)) {
-      return false;
-    }
-    report.recovered = recovered.state;
-    report.records_on_disk = recovered.records_on_disk;
-    report.used_snapshot = recovered.used_snapshot;
-    report.suffix_replayed = recovered.replayed_records;
-    report.torn_tail = recovered.torn;
-    report.torn_reason = recovered.torn_reason;
-  }
-
-  // Phase 2: deterministic re-execution with the sink resumed onto the
-  // WAL. The durable prefix is byte-verified as it is regenerated; new
-  // records append past the old tail.
+  // The sink reads the durable prefix once: it truncates a torn tail and
+  // folds the state a daemon would serve from while catching up. Then
+  // the deterministic re-execution byte-verifies that prefix as it
+  // regenerates it, and new records append past the old tail. A missing
+  // file is a cold start.
   DurableSinkOptions sink_options = options.sink;
   sink_options.resume = true;
   DurableSink sink(options.wal_path, sink_options);
@@ -37,6 +20,7 @@ bool resume_simulation(const Trace& trace, Scheduler& scheduler,
     if (error != nullptr) *error = sink.error();
     return false;
   }
+  report.recovered = sink.recovered();
 
   obs::DecisionLog log;
   log.set_sink(&sink);

@@ -9,9 +9,9 @@
 // recovered state — we replay the state machine from the start and let
 // the sink skip/verify the prefix that is already durable. Recovery cost
 // is re-execution time (simulated time is free); durability cost is the
-// fsync policy. The recovered ReplayState is still computed first and
-// returned, because that — not the re-execution — is what a live daemon
-// would serve from while catching up.
+// fsync policy. The sink's one read of the WAL also folds the recovered
+// ReplayState, which is returned, because that — not the re-execution —
+// is what a live daemon would serve from while catching up.
 #pragma once
 
 #include <string>
@@ -31,14 +31,9 @@ struct ResumeOptions {
 };
 
 struct ResumeReport {
-  // State reconstructed from the WAL before re-execution (last snapshot
-  // + suffix replay).
-  ReplayState recovered;
-  std::int64_t records_on_disk = 0;
-  bool used_snapshot = false;
-  std::int64_t suffix_replayed = 0;
-  bool torn_tail = false;
-  std::string torn_reason;
+  // What the resumed sink read from the WAL before re-execution: the
+  // state (last snapshot + suffix replay) and the torn-tail report.
+  RecoverResult recovered;
   // Re-execution accounting from the sink.
   std::int64_t records_verified = 0;
   std::int64_t records_appended = 0;

@@ -1,5 +1,9 @@
 #include "recovery/wal.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -124,28 +128,17 @@ bool read_wal_file(const std::string& path, WalReadResult& out,
   return true;
 }
 
-bool truncate_wal_file(const std::string& path, std::string* error) {
-  WalReadResult decoded;
-  if (!read_wal_file(path, decoded, error)) return false;
-  if (!decoded.torn) return true;
-  // Rewrite the valid prefix; frame-at-a-time re-encoding yields exactly
-  // the first valid_bytes of the original file.
-  std::string bytes;
-  for (const WalFrame& frame : decoded.frames) {
-    append_wal_frame(bytes, frame.kind, frame.payload);
+bool truncate_wal_file(const std::string& path, std::size_t valid_bytes,
+                       std::string* error) {
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  const bool ok = fd >= 0 &&
+                  ::ftruncate(fd, static_cast<off_t>(valid_bytes)) == 0 &&
+                  ::fsync(fd) == 0;
+  if (!ok && error != nullptr) {
+    *error = "cannot truncate " + path + ": " + std::strerror(errno);
   }
-  std::ofstream outf(path, std::ios::binary | std::ios::trunc);
-  if (!outf) {
-    if (error != nullptr) *error = "cannot rewrite " + path;
-    return false;
-  }
-  outf.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  outf.close();
-  if (!outf) {
-    if (error != nullptr) *error = "short write rewriting " + path;
-    return false;
-  }
-  return true;
+  if (fd >= 0) ::close(fd);
+  return ok;
 }
 
 }  // namespace muri::recovery

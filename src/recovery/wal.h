@@ -71,8 +71,11 @@ bool looks_like_wal(std::string_view bytes);
 bool read_wal_file(const std::string& path, WalReadResult& out,
                    std::string* error = nullptr);
 
-// Truncates `path` to its valid frame prefix. No-op on a clean file.
-// False (with `error`) on I/O failure.
-bool truncate_wal_file(const std::string& path, std::string* error = nullptr);
+// Cuts `path` in place to its first `valid_bytes` bytes (the valid frame
+// prefix decode_wal reports) and fsyncs it; the prefix itself is never
+// rewritten, so a crash mid-truncation cannot lose it. False (with
+// `error`) on I/O failure.
+bool truncate_wal_file(const std::string& path, std::size_t valid_bytes,
+                       std::string* error = nullptr);
 
 }  // namespace muri::recovery

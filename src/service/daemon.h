@@ -23,14 +23,15 @@
 // the daemon deterministically through step().
 //
 // Restart story: with a WAL configured, every decision record is durable
-// (DurableSink, append_resume mode). On --resume the daemon replays the
-// WAL to rebuild the job table (job_submit/job_restore give specs,
-// job_progress the checkpointed iterations, finish/job_cancel retire
-// ids), continues the simulated clock from the recovered state, resumes
-// round numbering, and re-admits unfinished jobs with their checkpointed
-// progress —
-// an accepted job survives any crash that happens after its job_submit
-// record hit the WAL. Graceful stop() closes that window: it stops
+// (DurableSink, append_resume mode). On --resume the sink reads the WAL
+// once and folds it into a recovery::ReplayState; its restart set
+// (job_submit specs with their name and start deadline, job_progress /
+// job_restore checkpoints, minus jobs finish/job_cancel retired) is
+// range-checked like a POST and re-admitted with its progress, ids
+// continue past the highest id the WAL names, the simulated clock and
+// round numbering continue from the recovered state — an accepted job
+// survives any crash that happens after its job_submit record hit the
+// WAL. Graceful stop() closes that window: it stops
 // admitting (503), drains the queue into the engine, checkpoints
 // progress, writes daemon_stop, and fsyncs.
 #pragma once
@@ -141,7 +142,8 @@ class MuriDaemon {
 
   // Builds the stack, recovers from the WAL when resuming, binds the
   // HTTP listener, and (unless manual_time) starts the event loop.
-  // False with `error` on unknown scheduler, WAL damage, or bind failure.
+  // False with `error` on unknown scheduler, WAL damage, a restored job
+  // spec out of range, or bind failure.
   bool start(std::string* error);
 
   // Graceful shutdown: stop admitting, join the loop, advance to now,
@@ -194,7 +196,6 @@ class MuriDaemon {
     std::string reason;       // "" when ok
   };
 
-  bool recover(std::string* error);
   bool handle(const obs::HttpRequest& req, obs::HttpResponse& resp);
   void handle_submit(const obs::HttpRequest& req, obs::HttpResponse& resp);
   void handle_job_get(JobId id, bool explain, obs::HttpResponse& resp);
@@ -263,16 +264,6 @@ class MuriDaemon {
   // Admission bookkeeping (engine_mu_): id assignment + idempotency.
   JobId next_job_id_ = 0;
   std::map<std::string, JobId> name_to_id_;
-
-  // Recovery scratch: specs rebuilt from the WAL, keyed by id.
-  struct RecoveredJob {
-    JobSpec spec;
-    Time submit_time = 0;
-    double done = 0;
-    bool terminal = false;
-  };
-  std::map<JobId, RecoveredJob> recovered_;
-  std::int64_t recovered_resumed_ = 0;
 };
 
 }  // namespace muri::service
