@@ -67,8 +67,8 @@
 //   exec_group    [state] names:[strings], slots, offsets, mode
 //                 (live executor)
 //   exec_result   [state] names:[strings], gamma, killed
-//   job_submit    [state] t, job, model, gpus, iterations [, name]
-//                 (service daemon)
+//   job_submit    [state] t, job, model, gpus, iterations [, name,
+//                 deadline_s]  (service daemon; deadline_s when > 0)
 //   job_cancel    [state] t, job, reason
 //   job_progress  [state] t, job, done    (graceful-shutdown checkpoint)
 //   job_restore   [state] t, job, done    (WAL recovery re-admission)
