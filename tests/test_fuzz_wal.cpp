@@ -3,6 +3,10 @@
 // (apply_record, and state_from_json for snapshot frames) over mutants of
 // real state-tier WALs written by short durable simulation runs.
 //
+// The corpus: the WALs of short durable simulation runs, and the WAL of a
+// daemon that stops gracefully, restarts and stops again, re-framed with
+// snapshots so they carry a restart set.
+//
 // Mutants, all drawn from one fixed seed so every run sees the same ones:
 //   - raw bit flips anywhere in the file (the checksum's job);
 //   - bit flips and number swaps inside one payload, re-framed with a
@@ -15,9 +19,9 @@
 //
 // The property: nothing crashes (ASan/UBSan in CI), and each reader
 // either recovers a valid prefix no longer than its input or reports an
-// error. The budget is fixed: 400 random mutants plus three cuts per
-// frame, a few seconds in a Debug ASan/UBSan build. The tests carry the
-// ctest label `fuzz`.
+// error. The budget is fixed: 400 random simulation mutants, 200 daemon
+// mutants, plus three cuts per frame, a few seconds in a Debug ASan/UBSan
+// build. The tests carry the ctest label `fuzz`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,6 +42,8 @@
 #include "recovery/replay.h"
 #include "recovery/wal.h"
 #include "scheduler/muri.h"
+#include "service/daemon.h"
+#include "service/http_client.h"
 #include "sim/simulator.h"
 
 namespace muri {
@@ -49,6 +55,7 @@ using recovery::WalReadResult;
 
 constexpr std::uint64_t kSeed = 0x5EEDF00Du;
 constexpr int kRandomMutants = 400;
+constexpr int kDaemonMutants = 200;
 
 // Per-test paths: ctest runs the tests of this file as parallel processes.
 std::string temp_path(const std::string& name) {
@@ -110,6 +117,73 @@ std::string durable_wal(std::uint64_t seed) {
     EXPECT_TRUE(sink.ok()) << sink.error();
   }
   return slurp(path);
+}
+
+// The WAL a manual-clock daemon writes over two lives: named jobs, one
+// with a start deadline, a queued cancel, finishes, a graceful stop's
+// progress checkpoint, the restart's job_restore records and a missed
+// deadline after it. Its record frames are re-written through a sink
+// that snapshots every 7 records, so snapshots carry the restart set.
+std::string daemon_wal() {
+  const std::string path = temp_path("daemon_live.wal");
+  std::remove(path.c_str());
+  const auto life = [&](bool resume, const auto& drive) {
+    service::DaemonOptions options;
+    options.manual_time = true;
+    options.cluster.num_machines = 2;
+    options.cluster.gpus_per_machine = 4;
+    options.scheduler = "fifo";
+    options.wal_path = path;
+    options.resume = resume;
+    service::MuriDaemon daemon(options);
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    const auto request = [&](const char* method, const std::string& target,
+                             const std::string& body) {
+      service::ClientResponse resp;
+      EXPECT_TRUE(service::http_request(daemon.port(), method, target, body,
+                                        resp, &error))
+          << error;
+      return resp.status;
+    };
+    drive(daemon, request);
+    daemon.stop();
+  };
+  life(false, [](service::MuriDaemon& daemon, const auto& request) {
+    EXPECT_EQ(request("POST", "/jobs",
+                      "{\"model\":\"resnet18\",\"gpus\":8,"
+                      "\"iterations\":10000,\"name\":\"long \\\"a\\\"\"}"),
+              202);
+    daemon.step(0);
+    EXPECT_EQ(request("POST", "/jobs",
+                      "{\"model\":\"bert\",\"gpus\":4,\"iterations\":300,"
+                      "\"name\":\"b\",\"deadline_s\":900}"),
+              202);
+    EXPECT_EQ(request("POST", "/jobs",
+                      "{\"model\":\"vgg16\",\"gpus\":1,\"iterations\":50}"),
+              202);
+    EXPECT_EQ(request("DELETE", "/jobs/2", ""), 200);
+    daemon.step(0);
+    daemon.step(600);
+  });
+  life(true, [](service::MuriDaemon& daemon, const auto& request) {
+    EXPECT_EQ(request("POST", "/jobs",
+                      "{\"model\":\"gpt2\",\"gpus\":2,\"iterations\":80}"),
+              202);
+    for (int i = 0; i < 40; ++i) daemon.step(300);
+  });
+
+  const std::string framed = temp_path("daemon_framed.wal");
+  recovery::DurableSinkOptions options;
+  options.fsync = recovery::DurableSinkOptions::Fsync::kNone;
+  options.snapshot_every_records = 7;
+  recovery::DurableSink sink(framed, options);
+  for (const WalFrame& f : recovery::decode_wal(slurp(path)).frames) {
+    sink.on_record(f.payload);
+  }
+  sink.close();
+  EXPECT_TRUE(sink.ok()) << sink.error();
+  return slurp(framed);
 }
 
 std::string encode(const std::vector<WalFrame>& frames) {
@@ -265,9 +339,10 @@ TEST(FuzzWal, TruncationAtEveryFrameBoundaryIsContained) {
   }
 }
 
-TEST(FuzzWal, SeededMutantsAreContained) {
-  const std::string wal_a = durable_wal(1);
-  const std::string wal_b = durable_wal(2);
+// `mutants` seeded mutants of `wal_a`, with frames of `wal_b` as the
+// foreign material, each held to the readers' contract.
+void expect_mutants_contained(const std::string& wal_a,
+                              const std::string& wal_b, int mutants) {
   const std::vector<WalFrame> frames_a = recovery::decode_wal(wal_a).frames;
   const std::vector<WalFrame> frames_b = recovery::decode_wal(wal_b).frames;
   ASSERT_FALSE(frames_a.empty());
@@ -277,7 +352,7 @@ TEST(FuzzWal, SeededMutantsAreContained) {
   const auto pick = [&](std::size_t n) {
     return static_cast<std::size_t>(rng() % n);
   };
-  for (int m = 0; m < kRandomMutants; ++m) {
+  for (int m = 0; m < mutants; ++m) {
     std::string bytes;
     std::string what;
     std::vector<WalFrame> frames = frames_a;
@@ -346,8 +421,38 @@ TEST(FuzzWal, SeededMutantsAreContained) {
         break;
     }
     expect_contained(bytes, what + " (mutant " + std::to_string(m) + ")");
-    if (HasFatalFailure()) return;
+    if (testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(FuzzWal, SeededMutantsAreContained) {
+  expect_mutants_contained(durable_wal(1), durable_wal(2), kRandomMutants);
+}
+
+TEST(FuzzWal, DaemonWalMutantsAreContained) {
+  const std::string wal = daemon_wal();
+  if (HasFatalFailure()) return;
+  const WalReadResult decoded = recovery::decode_wal(wal);
+  ASSERT_FALSE(decoded.torn);
+  std::set<std::string> types;
+  int snapshots = 0;
+  for (const WalFrame& f : decoded.frames) {
+    if (f.kind == FrameKind::kSnapshot) {
+      ++snapshots;
+    } else {
+      types.insert(std::string(obs::record_type(f.payload)));
+    }
+  }
+  EXPECT_GT(snapshots, 0);
+  for (const char* type :
+       {"daemon_start", "job_submit", "job_cancel", "job_progress",
+        "job_restore", "finish", "daemon_stop"}) {
+    EXPECT_EQ(types.count(type), 1u) << type;
+  }
+  EXPECT_NE(wal.find("\"deadline_s\":900"), std::string::npos);
+  EXPECT_NE(wal.find("\"name\":\"long \\\"a\\\"\""), std::string::npos);
+  expect_contained(wal, "clean daemon corpus");
+  expect_mutants_contained(wal, durable_wal(1), kDaemonMutants);
 }
 
 }  // namespace
