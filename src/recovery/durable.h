@@ -4,35 +4,30 @@
 // DurableSink implements obs::DecisionLog::Sink: every state-tier record
 // the log commits (obs/provenance.h; explanation records stay in memory)
 // is framed (wal.h), appended to a WAL file, and made durable under a
-// configurable fsync policy. At a configurable cadence it also folds the
-// stream into a ReplayState (replay.h) and appends a snapshot frame, so
-// recovery reads the last snapshot plus the record suffix instead of the
-// whole log. Record ordinals, and with them every count below, number
-// state records only.
+// configurable fsync policy. Record ordinals, and with them every count
+// below, number state records only.
 //
 // Recovery leans on the determinism the DecisionLog already guarantees:
 // a fixed-seed run regenerates the exact same byte sequence of records.
 // A resumed sink therefore reads the existing WAL once at open (truncating
-// a torn tail in place and folding the durable prefix into recovered(),
-// the same fold recover_wal runs), re-attaches to it and, as the
-// re-executed run regenerates records, (a) skips ordinals a compacted
-// head snapshot covers, (b) byte-verifies ordinals that are already on
+// a torn tail in place and folding the records into recovered(), the
+// same fold recover_wal runs), re-attaches to it and, as the re-executed
+// run regenerates records, (a) byte-verifies ordinals that are already on
 // disk — any mismatch flags divergence instead of corrupting the log —
-// and (c) starts appending at the first ordinal past the old tail. A
-// run resumed this way converges to the byte-identical WAL an
-// uninterrupted run would have written.
+// and (b) starts appending at the first ordinal past the old tail. A run
+// resumed this way converges to the byte-identical WAL an uninterrupted
+// run would have written.
 //
 // Crash-point injection for the CI sweeps rides on the same path:
 // MURI_CRASH_AT=N (opt-in via honor_crash_env) calls _Exit at the
-// boundary of record N — after its frame (and any due snapshot) hit the
-// file, since POSIX write() survives process death — and MURI_CRASH_TORN=1
-// makes the final frame a half-written torn tail instead, exercising the
-// truncation path. stop_after_records is the in-process equivalent for
-// tests that cannot afford to die.
+// boundary of record N — after its frame hit the file, since POSIX
+// write() survives process death — and MURI_CRASH_TORN=1 makes the final
+// frame a half-written torn tail instead, exercising the truncation path.
+// stop_after_records is the in-process equivalent for tests that cannot
+// afford to die.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,17 +38,16 @@
 
 namespace muri::recovery {
 
+// Records between fsyncs under DurableSinkOptions::Fsync::kInterval.
+inline constexpr std::int64_t kFsyncIntervalRecords = 64;
+
 struct DurableSinkOptions {
   enum class Fsync { kNone, kInterval, kEveryRecord };
   // Durability/latency trade-off: kNone trusts the page cache (survives
   // process crashes, not power loss), kEveryRecord survives power loss at
   // one fsync per record, kInterval bounds the power-loss exposure to
-  // `fsync_interval_records` records.
+  // kFsyncIntervalRecords records.
   Fsync fsync = Fsync::kInterval;
-  std::int64_t fsync_interval_records = 64;
-  // Append a snapshot frame after every N records; 0 disables. Recovery
-  // cost is then bounded by N records of suffix replay.
-  std::int64_t snapshot_every_records = 0;
   // Re-attach to an existing WAL (see file comment). Off, the file is
   // truncated and written from scratch.
   bool resume = false;
@@ -62,34 +56,22 @@ struct DurableSinkOptions {
   // wall-clock-derived submit times, so a restarted process cannot
   // regenerate the old byte stream the way a deterministic re-executed
   // run can; instead the torn tail is truncated, ordinals continue after
-  // the on-disk records (records_seen() starts at that count, and the
-  // snapshot fold is pre-loaded from the recovered state so cadence
-  // snapshots stay truthful), and every new record appends immediately.
-  // The daemon re-admits its jobs from recovered().state. Mutually
-  // exclusive with `resume`.
+  // the on-disk records (records_seen() starts at that count), and every
+  // new record appends immediately. The daemon re-admits its jobs from
+  // recovered().state. Mutually exclusive with `resume`.
   bool append_resume = false;
   // Honor MURI_CRASH_AT / MURI_CRASH_TORN (CI crash sweeps only).
   bool honor_crash_env = false;
   // Stop writing (silently) after this many records, as if the process
   // had died at that boundary; -1 = never. In-process crash simulation.
   std::int64_t stop_after_records = -1;
-  // Called after each record boundary becomes durable, with the record
-  // ordinal (1-based). Observational: must not throw (it runs inside
-  // DecisionLog::Entry's destructor).
-  std::function<void(std::int64_t)> boundary_hook;
 };
 
-// Result of reading a WAL back into scheduler state.
+// Result of reading a WAL back into scheduler state. state.records counts
+// the record frames on disk: a resumed run re-appends from the ordinal
+// after it.
 struct RecoverResult {
   ReplayState state;
-  // Record ordinals present on disk: those a compacted head snapshot
-  // covers plus the record frames. A resumed run re-appends starting at
-  // records_on_disk + 1.
-  std::int64_t records_on_disk = 0;
-  std::int64_t snapshot_frames = 0;
-  // Suffix length actually replayed (records after the last snapshot).
-  std::int64_t replayed_records = 0;
-  bool used_snapshot = false;
   bool torn = false;
   std::string torn_reason;
   std::size_t valid_bytes = 0;
@@ -149,7 +131,7 @@ class DurableSink : public obs::DecisionLog::Sink {
   }
 
  private:
-  void append_frame(FrameKind kind, std::string_view payload);
+  void append_frame(std::string_view payload);
   void maybe_fsync();
   void crash_now(std::string_view next_payload);
 
@@ -166,36 +148,19 @@ class DurableSink : public obs::DecisionLog::Sink {
   std::int64_t unsynced_ = 0;   // records since last fsync
   IoStats io_;
 
-  // Resume bookkeeping.
+  // Resume bookkeeping: the on-disk record payloads to byte-verify.
   RecoverResult recovered_;
-  std::int64_t head_covered_ = 0;          // ordinals a head snapshot covers
-  std::vector<std::string> expected_;      // on-disk record payloads after it
-  // Ordinal of a cadence snapshot the old tail lost to truncation (its
-  // record survived but the following snapshot frame did not); 0 = none.
-  std::int64_t missing_snapshot_at_ = 0;
+  std::vector<std::string> expected_;
 
   // Crash injection (resolved from the environment in the constructor).
   std::int64_t crash_at_ = 0;  // 0 = disabled
   bool crash_torn_ = false;
-
-  // Incremental fold for snapshot payloads (maintained only when
-  // snapshots are enabled).
-  ReplayState fold_;
 };
 
-// Reconstructs state from `path`: loads the last snapshot frame (if any)
-// and folds the record frames after it. Torn tails are reported, not
-// fatal. False with `error` on I/O failure, undecodable snapshots, or
-// records that fail to parse.
+// Reconstructs state from `path` by folding its record frames. Torn
+// tails are reported, not fatal. False with `error` on I/O failure, a
+// frame that is not a record frame, or records that fail to parse.
 bool recover_wal(const std::string& path, RecoverResult& out,
                  std::string* error = nullptr);
-
-// Rewrites `path` as its last snapshot frame followed by the record
-// frames after it, dropping the replayed prefix and earlier snapshots.
-// A file without snapshots is folded into one head snapshot (recovery
-// then has nothing to replay, and byte-verification of the dropped
-// records is no longer possible — resume skips them instead). Returns
-// false with `error` on I/O or decode failure.
-bool compact_wal(const std::string& path, std::string* error = nullptr);
 
 }  // namespace muri::recovery

@@ -64,33 +64,6 @@ void append_int_vec(std::string& out, const std::vector<std::int64_t>& v) {
   out += ']';
 }
 
-bool read_int(const JsonValue& obj, const char* key, std::int64_t& out,
-              std::string* error) {
-  const JsonValue& v = obj.at(key);
-  if (!v.is_number()) {
-    if (error != nullptr) {
-      *error = std::string("snapshot missing number \"") + key + "\"";
-    }
-    return false;
-  }
-  out = v.as_int();
-  return true;
-}
-
-bool read_int_set(const JsonValue& obj, const char* key,
-                  std::set<std::int64_t>& out, std::string* error) {
-  std::vector<std::int64_t> v;
-  if (!int_array(obj.at(key), v)) {
-    if (error != nullptr) {
-      *error = std::string("snapshot missing int array \"") + key + "\"";
-    }
-    return false;
-  }
-  out.clear();
-  out.insert(v.begin(), v.end());
-  return true;
-}
-
 }  // namespace
 
 std::vector<std::int64_t> ReplayState::queued() const {
@@ -374,85 +347,6 @@ std::string state_json(const ReplayState& state) {
   append_int(out, state.scheduler_invocations);
   out += "}\n";
   return out;
-}
-
-bool state_from_json(std::string_view json, ReplayState& out,
-                     std::string* error) {
-  JsonValue root;
-  if (!obs::parse_json(json, root, error)) return false;
-  const auto fail = [&](const char* what) {
-    if (error != nullptr) *error = what;
-    return false;
-  };
-  if (root.at("type").string != "replay_state") {
-    return fail("not a replay_state snapshot");
-  }
-  const JsonValue& jobs = root.at("jobs");
-  const JsonValue& groups = root.at("groups");
-  const JsonValue& jcts = root.at("jcts");
-  if (!root.at("sim_time").is_number() || !root.at("makespan").is_number() ||
-      !jobs.is_array() || !groups.is_array() || !jcts.is_array()) {
-    return fail("snapshot missing sim_time, makespan, jobs, groups or jcts");
-  }
-  ReplayState state;
-  state.sim_time = root.at("sim_time").number;
-  state.makespan = root.at("makespan").number;
-  state.run_complete = root.at("run_complete").boolean;
-  if (!read_int(root, "runs", state.runs, error) ||
-      !read_int(root, "records", state.records, error) ||
-      !read_int(root, "round", state.round, error) ||
-      !read_int(root, "machines", state.machines, error) ||
-      !read_int(root, "gpus", state.total_gpus, error) ||
-      !read_int_set(root, "arrived", state.arrived, error) ||
-      !read_int_set(root, "running", state.running, error) ||
-      !read_int_set(root, "finished", state.finished, error) ||
-      !read_int(root, "max_job", state.max_job, error) ||
-      !read_int(root, "placement_round", state.placement_round, error) ||
-      !read_int_set(root, "machines_down", state.machines_down, error) ||
-      !read_int(root, "finished_jobs", state.finished_jobs, error) ||
-      !read_int(root, "unfinished_jobs", state.unfinished_jobs, error) ||
-      !read_int(root, "faults", state.faults, error) ||
-      !read_int(root, "restarts", state.restarts, error) ||
-      !read_int(root, "machine_failures", state.machine_failures, error) ||
-      !read_int(root, "evictions", state.evictions, error) ||
-      !read_int(root, "scheduler_invocations", state.scheduler_invocations,
-                error)) {
-    return false;
-  }
-  for (const JsonValue& j : jobs.array) {
-    if (!j.at("job").is_number() || !j.at("t").is_number() ||
-        !j.at("model").is_string() || !j.at("gpus").is_number() ||
-        !j.at("iterations").is_number() || !j.at("name").is_string() ||
-        !j.at("deadline_s").is_number() || !j.at("done").is_number()) {
-      return fail("malformed snapshot job");
-    }
-    ReplayJob& job = state.jobs[j.at("job").as_int()];
-    job.submit_t = j.at("t").number;
-    job.model = j.at("model").string;
-    job.gpus = j.at("gpus").as_int();
-    job.iterations = j.at("iterations").as_int();
-    job.name = j.at("name").string;
-    job.deadline_s = j.at("deadline_s").number;
-    job.done = j.at("done").number;
-  }
-  for (const JsonValue& g : groups.array) {
-    ReplayGroup group;
-    if (!int_array(g.at("jobs"), group.jobs) ||
-        !int_array(g.at("machines"), group.machines) ||
-        !g.at("gpus").is_number() || !g.at("owner").is_number()) {
-      return fail("malformed snapshot group");
-    }
-    group.gpus = g.at("gpus").as_int();
-    group.owner = g.at("owner").as_int();
-    if (g.at("mode").is_string()) group.mode = g.at("mode").string;
-    state.groups.push_back(std::move(group));
-  }
-  for (const JsonValue& v : jcts.array) {
-    if (!v.is_number()) return fail("non-numeric jct in snapshot");
-    state.jcts.push_back(v.number);
-  }
-  out = std::move(state);
-  return true;
 }
 
 std::string state_text(const ReplayState& state) {

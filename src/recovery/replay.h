@@ -18,11 +18,10 @@
 // exactly the entries left and hands out ids past max_job; besides this
 // fold, only the jobtrace fold (obs/jobtrace.h) reads the job_* records.
 //
-// ReplayState also doubles as the snapshot payload of the WAL (wal.h):
-// state_json() is byte-stable (fixed key order, sorted sets, the
-// %.17g double format of the exporters), so snapshots taken at the same
-// record ordinal are byte-identical across runs — which is what lets a
-// resumed WAL converge byte-for-byte with an uninterrupted one.
+// state_json() renders a ReplayState byte-stably (fixed key order, sorted
+// sets, the %.17g double format of the exporters): `muri-report replay
+// --format=json` prints it, and the same record stream always renders
+// the same bytes.
 #pragma once
 
 #include <cstdint>
@@ -130,11 +129,8 @@ struct ReplayState {
 bool apply_record(ReplayState& state, const obs::JsonValue& rec,
                   std::string* error = nullptr);
 
-// Byte-stable JSON serialization (single line, '\n'-terminated): the WAL
-// snapshot payload format.
+// Byte-stable JSON serialization (single line, '\n'-terminated).
 std::string state_json(const ReplayState& state);
-bool state_from_json(std::string_view json, ReplayState& out,
-                     std::string* error = nullptr);
 
 // Human-readable summary for muri-report replay.
 std::string state_text(const ReplayState& state);

@@ -7,7 +7,7 @@
 // options, seeds); the WAL is its authoritative decision history. After
 // a crash we therefore do not try to warp the simulator into the
 // recovered state — we replay the state machine from the start and let
-// the sink skip/verify the prefix that is already durable. Recovery cost
+// the sink byte-verify the prefix that is already durable. Recovery cost
 // is re-execution time (simulated time is free); durability cost is the
 // fsync policy. The sink's one read of the WAL also folds the recovered
 // ReplayState, which is returned, because that — not the re-execution —
@@ -24,15 +24,13 @@ namespace muri::recovery {
 struct ResumeOptions {
   // WAL path to recover and continue appending to.
   std::string wal_path;
-  // Sink configuration; must match the crashed run's cadence for the
-  // resumed file to converge byte-for-byte (a different snapshot cadence
-  // still recovers, but the file layouts differ).
+  // Sink configuration (`resume` is forced on).
   DurableSinkOptions sink;
 };
 
 struct ResumeReport {
   // What the resumed sink read from the WAL before re-execution: the
-  // state (last snapshot + suffix replay) and the torn-tail report.
+  // folded state and the torn-tail report.
   RecoverResult recovered;
   // Re-execution accounting from the sink.
   std::int64_t records_verified = 0;

@@ -56,10 +56,9 @@ std::uint32_t crc32_ieee(const void* data, std::size_t size,
   return c ^ 0xFFFFFFFFu;
 }
 
-void append_wal_frame(std::string& out, FrameKind kind,
-                      std::string_view payload) {
+void append_wal_frame(std::string& out, std::string_view payload) {
   out.append(kWalMagic, sizeof(kWalMagic));
-  out += static_cast<char>(kind);
+  out += static_cast<char>(kRecordFrame);
   put_u32le(out, static_cast<std::uint32_t>(payload.size()));
   put_u32le(out, crc32_ieee(payload.data(), payload.size()));
   out.append(payload.data(), payload.size());
@@ -86,13 +85,6 @@ WalReadResult decode_wal(std::string_view bytes) {
       stop("bad frame magic");
       break;
     }
-    const auto kind_byte =
-        static_cast<unsigned char>(bytes[pos + sizeof(kWalMagic)]);
-    if (kind_byte != static_cast<unsigned char>(FrameKind::kRecord) &&
-        kind_byte != static_cast<unsigned char>(FrameKind::kSnapshot)) {
-      stop("unknown frame kind " + std::to_string(kind_byte));
-      break;
-    }
     const std::uint32_t len = get_u32le(bytes.data() + pos + 5);
     const std::uint32_t crc = get_u32le(bytes.data() + pos + 9);
     if (bytes.size() - pos - kWalHeaderSize < len) {
@@ -105,10 +97,19 @@ WalReadResult decode_wal(std::string_view bytes) {
       stop("checksum mismatch");
       break;
     }
-    WalFrame frame;
-    frame.kind = static_cast<FrameKind>(kind_byte);
-    frame.payload.assign(payload);
-    result.frames.push_back(std::move(frame));
+    // Only a whole, checksummed frame gets this far, so another kind here
+    // was written on purpose: refuse the file rather than cut it.
+    const auto kind = static_cast<std::uint8_t>(bytes[pos + 4]);
+    if (kind != kRecordFrame) {
+      result.error = "frame " + std::to_string(result.records.size()) +
+                     " at byte offset " + std::to_string(pos) +
+                     (kind == 2 ? " is a snapshot frame (kind 2), which "
+                                  "this build does not read"
+                                : " has unknown kind " + std::to_string(kind)) +
+                     "; a WAL holds record frames only";
+      break;
+    }
+    result.records.emplace_back(payload);
     pos += kWalHeaderSize + len;
   }
   result.valid_bytes = pos;
@@ -125,6 +126,10 @@ bool read_wal_file(const std::string& path, WalReadResult& out,
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   out = decode_wal(bytes);
+  if (!out.error.empty()) {
+    if (error != nullptr) *error = out.error;
+    return false;
+  }
   return true;
 }
 

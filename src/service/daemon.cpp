@@ -204,6 +204,7 @@ bool MuriDaemon::start(std::string* error) {
   // anything is written.
   std::vector<std::pair<QueuedSubmission, double>> restored;
   bool resumed = false;
+  JobId first_job_id = 0;
   if (!options_.wal_path.empty()) {
     recovery::DurableSinkOptions sink_opts;
     sink_opts.fsync = options_.fsync;
@@ -243,9 +244,21 @@ bool MuriDaemon::start(std::string* error) {
       if (!job.name.empty()) name_to_id_[job.name] = id;
       restored.emplace_back(std::move(s), job.done);
     }
+    // Ids are handed out one per accepted POST, and each id that reached
+    // the WAL is named by a record of its own (its job_submit, or the
+    // job_cancel of a queued cancel), so restored ids spanning more ids
+    // than the WAL has records did not come from a daemon. The engine's
+    // job table starts at the lowest restored id, not at 0.
+    next_job_id_ = state.max_job + 1;
+    first_job_id = restored.empty() ? next_job_id_ : restored.front().first.id;
+    if (next_job_id_ - first_job_id > state.records) {
+      return fail("job " + std::to_string(state.max_job) +
+                  ": ids must lie within " + std::to_string(state.records) +
+                  " (the WAL's record count) of the lowest restored job " +
+                  std::to_string(first_job_id));
+    }
     sim_base_ = state.sim_time;
     log_.resume_round(state.round);
-    next_job_id_ = state.max_job + 1;
     resumed = state.max_job >= 0;
   }
   scheduler_->set_decision_log(&log_);
@@ -279,7 +292,7 @@ bool MuriDaemon::start(std::string* error) {
   eng.profiler = options_.profiler;
   eng.decisions = &log_;
   engine_ = std::make_unique<ExecutionEngine>(*scheduler_, eng, sim_base_,
-                                              observer_.get());
+                                              observer_.get(), first_job_id);
   queue_ = std::make_unique<AdmissionQueue>(options_.queue_capacity);
 
   wall_base_ = Clock::now();
@@ -946,7 +959,7 @@ void MuriDaemon::handle_submit(const obs::HttpRequest& req,
   }
   QueuedSubmission submission;
   submission.spec = spec;
-  submission.id = next_job_id_++;
+  submission.id = next_job_id_;
   submission.submit_time = sim_now();
   if (!queue_->try_push(submission)) {
     resp.extra_headers.emplace_back("Retry-After",
@@ -955,6 +968,7 @@ void MuriDaemon::handle_submit(const obs::HttpRequest& req,
     update_gauges();
     return;
   }
+  ++next_job_id_;  // a rejected submission takes no id
   if (!spec.name.empty()) name_to_id_[spec.name] = submission.id;
   // Timeline anchor: the HTTP-accept instant, ahead of the event loop
   // draining the queue into the engine (accept→submit gap = queue wait).

@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -57,7 +58,7 @@ const char* to_string(JobPhase phase) noexcept {
 
 ExecutionEngine::ExecutionEngine(Scheduler& scheduler,
                                  const SimOptions& options, Time start,
-                                 EngineObserver* observer)
+                                 EngineObserver* observer, JobId first_id)
     : scheduler_(scheduler),
       options_(options),
       observer_(observer),
@@ -68,6 +69,7 @@ ExecutionEngine::ExecutionEngine(Scheduler& scheduler,
                       : 0.0),
       injector_(options.cluster.num_machines, options.machine_faults, start),
       monitor_(options.cluster.num_machines, options.monitor),
+      first_id_(first_id),
       machine_slow_(static_cast<size_t>(options.cluster.num_machines),
                     ResourceVector{1.0, 1.0, 1.0, 1.0}),
       now_(start),
@@ -153,8 +155,8 @@ ExecutionEngine::ExecutionEngine(Scheduler& scheduler,
 }
 
 ExecutionEngine::JobState* ExecutionEngine::find(JobId id) {
-  if (id < 0 || static_cast<size_t>(id) >= jobs_.size()) return nullptr;
-  JobState& s = jobs_[static_cast<size_t>(id)];
+  if (id < first_id_ || index(id) >= jobs_.size()) return nullptr;
+  JobState& s = slot(id);
   return s.phase == JobPhase::kAbsent ? nullptr : &s;
 }
 
@@ -164,9 +166,7 @@ const ExecutionEngine::JobState* ExecutionEngine::find(JobId id) const {
 
 void ExecutionEngine::prune_live() {
   if (!live_stale_) return;
-  std::erase_if(live_, [this](JobId id) {
-    return !is_live(jobs_[static_cast<size_t>(id)]);
-  });
+  std::erase_if(live_, [this](JobId id) { return !is_live(slot(id)); });
   live_stale_ = false;
 }
 
@@ -175,10 +175,9 @@ void ExecutionEngine::prune_live() {
 
 void ExecutionEngine::submit(const Job& job, std::string name,
                              double deadline_s, double done_iterations) {
-  if (static_cast<size_t>(job.id) >= jobs_.size()) {
-    jobs_.resize(static_cast<size_t>(job.id) + 1);
-  }
-  JobState& s = jobs_[static_cast<size_t>(job.id)];
+  assert(job.id >= first_id_);
+  if (index(job.id) >= jobs_.size()) jobs_.resize(index(job.id) + 1);
+  JobState& s = slot(job.id);
   s.job = job;
   s.measured = profiler_.profile(job);
   s.phase = JobPhase::kQueued;
@@ -192,7 +191,7 @@ void ExecutionEngine::submit(const Job& job, std::string name,
   if (fault_rate_ > 0) {
     if (fault_rng_.size() < jobs_.size()) fault_rng_.resize(jobs_.size());
     const std::uint64_t salt = static_cast<std::uint64_t>(job.id);
-    fault_rng_[static_cast<size_t>(job.id)] =
+    fault_rng_[index(job.id)] =
         std::make_unique<Rng>(substream_seed(options_.fault_seed, salt));
   }
   // Arrival order need not be id order (trace ties, daemon restores).
@@ -258,7 +257,7 @@ bool ExecutionEngine::job_status(JobId id, JobStatus& out) const {
 void ExecutionEngine::checkpoint_progress() {
   if (options_.decisions == nullptr) return;
   for (JobId id : live_) {
-    const JobState& s = jobs_[static_cast<size_t>(id)];
+    const JobState& s = slot(id);
     if (!is_live(s) || s.done_iterations <= 0) continue;
     options_.decisions->entry("job_progress")
         .num("t", now_)
@@ -282,7 +281,7 @@ Time ExecutionEngine::projected_finish(const JobState& s) const {
 Time ExecutionEngine::next_event_time() const {
   Time next = kInf;
   for (JobId id : live_) {
-    const JobState& s = jobs_[static_cast<size_t>(id)];
+    const JobState& s = slot(id);
     if (s.phase != JobPhase::kRunning) continue;
     next = std::min(next, projected_finish(s));
     if (fault_rate_ > 0) next = std::min(next, s.next_fault);
@@ -296,7 +295,7 @@ void ExecutionEngine::progress_to(Time t) {
   prune_live();
   const Duration dt = t - now_;
   for (JobId id : live_) {
-    JobState& s = jobs_[static_cast<size_t>(id)];
+    JobState& s = slot(id);
     if (s.phase == JobPhase::kQueued) s.waited = true;
     if (s.phase != JobPhase::kRunning) continue;
     s.ran_wall += dt;
@@ -358,7 +357,7 @@ bool ExecutionEngine::settle() {
   // group members continue as a re-planned degraded group.
   if (fault_rate_ > 0) {
     for (JobId id : live_) {
-      JobState& s = jobs_[static_cast<size_t>(id)];
+      JobState& s = slot(id);
       if (s.phase == JobPhase::kRunning && now_ >= s.next_fault &&
           s.done_iterations <
               static_cast<double>(s.job.iterations) - kIterEps) {
@@ -368,7 +367,7 @@ bool ExecutionEngine::settle() {
     }
   }
   for (JobId id : live_) {
-    JobState& s = jobs_[static_cast<size_t>(id)];
+    JobState& s = slot(id);
     if (s.phase == JobPhase::kRunning &&
         s.done_iterations >=
             static_cast<double>(s.job.iterations) - kIterEps) {
@@ -494,7 +493,7 @@ void ExecutionEngine::handle_machine_event(const FaultEvent& e) {
           continue;
         }
         for (JobId id : it->second.members) {
-          JobState& s = jobs_[static_cast<size_t>(id)];
+          JobState& s = slot(id);
           if (s.phase != JobPhase::kRunning) continue;
           job_instant(s, "evict");
           c_preempt_machine_.inc();
@@ -576,7 +575,7 @@ double ExecutionEngine::straggler_factor_for(
 void ExecutionEngine::refresh_straggler_factors() {
   for (const auto& [owner, group] : running_groups_) {
     for (JobId id : group.members) {
-      JobState& s = jobs_[static_cast<size_t>(id)];
+      JobState& s = slot(id);
       if (s.phase != JobPhase::kRunning) continue;
       const double f = straggler_factor_for(s.job, group.machines);
       if (f == s.straggler_factor) continue;
@@ -605,7 +604,7 @@ void ExecutionEngine::replan_degraded(RunningGroup& g) {
   profiles.reserve(p);
   int max_gpus = 0, min_gpus = std::numeric_limits<int>::max();
   for (JobId id : g.members) {
-    const JobState& s = jobs_[static_cast<size_t>(id)];
+    const JobState& s = slot(id);
     profiles.push_back(s.job.profile);
     max_gpus = std::max(max_gpus, s.job.num_gpus);
     min_gpus = std::min(min_gpus, s.job.num_gpus);
@@ -619,7 +618,7 @@ void ExecutionEngine::replan_degraded(RunningGroup& g) {
   g.mode = ex.effective_mode;
   if (g.mode == GroupMode::kInterleaved && p > 1) {
     for (JobId id : g.members) {
-      jobs_[static_cast<size_t>(id)].group_gamma = ex.gamma_pred;
+      slot(id).group_gamma = ex.gamma_pred;
     }
   }
 
@@ -631,7 +630,7 @@ void ExecutionEngine::replan_degraded(RunningGroup& g) {
       g.machines.empty() ? kInvalidMachine : g.machines.front();
   Time ready_at = 0;
   for (JobId id : g.members) {
-    ready_at = std::max(ready_at, jobs_[static_cast<size_t>(id)].ready_at);
+    ready_at = std::max(ready_at, slot(id).ready_at);
   }
   GroupAccount* const acct_ptr = open_account(g.members, home, g.mode,
                                               ex.gamma_pred, ready_at);
@@ -639,7 +638,7 @@ void ExecutionEngine::replan_degraded(RunningGroup& g) {
   const std::int64_t gid = group_seq_;
 
   for (size_t i = 0; i < p; ++i) {
-    JobState& s = jobs_[static_cast<size_t>(g.members[i])];
+    JobState& s = slot(g.members[i]);
     end_run_span(s);
     s.period = ex.periods[i];
     s.key = key;
@@ -676,7 +675,7 @@ ExecutionEngine::GroupAccount* ExecutionEngine::open_account(
   acct.window_end = now_;
   acct.ready_at = ready_at;
   for (JobId id : members) {
-    const IterationProfile& profile = jobs_[static_cast<size_t>(id)].job.profile;
+    const IterationProfile& profile = slot(id).job.profile;
     for (size_t r = 0; r < static_cast<size_t>(kNumResources); ++r) {
       if (profile.stage_time[r] > 0) acct.active[r] = true;
     }
@@ -693,7 +692,7 @@ void ExecutionEngine::run_round() {
   // Start deadlines: a job still never scheduled past its deadline is
   // cancelled up front so the scheduler does not plan around it.
   for (JobId id : live_) {
-    JobState& s = jobs_[static_cast<size_t>(id)];
+    JobState& s = slot(id);
     if (s.phase == JobPhase::kQueued && s.deadline_s > 0 &&
         s.first_scheduled < 0 && now_ - s.job.submit_time > s.deadline_s) {
       cancel(s.job.id, now_, "start_deadline");
@@ -703,7 +702,7 @@ void ExecutionEngine::run_round() {
   std::vector<JobView> queue;
   queue.reserve(live_.size());
   for (JobId id : live_) {
-    const JobState& s = jobs_[static_cast<size_t>(id)];
+    const JobState& s = slot(id);
     if (!is_live(s)) continue;
     JobView v;
     v.id = s.job.id;
@@ -753,7 +752,7 @@ void ExecutionEngine::run_round() {
     std::vector<std::int64_t> wait_ids;
     std::vector<std::string> wait_buckets;
     for (JobId id : live_) {
-      const JobState& s = jobs_[static_cast<size_t>(id)];
+      const JobState& s = slot(id);
       if (s.phase != JobPhase::kQueued) continue;
       const bool was_deferred =
           std::binary_search(deferred.begin(), deferred.end(), s.job.id);
@@ -845,7 +844,7 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
     }
     running_groups_.emplace(owner, std::move(rg));
     for (JobId id : g.members) {
-      jobs_[static_cast<size_t>(id)].placed_round = rounds_;
+      slot(id).placed_round = rounds_;
     }
     admitted.push_back({make_key(g.members, g.mode, g.num_gpus), &g, owner});
   }
@@ -857,7 +856,7 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
     true_profiles.reserve(p);
     int max_gpus = 0, min_gpus = std::numeric_limits<int>::max();
     for (JobId id : group->members) {
-      const JobState& s = jobs_[static_cast<size_t>(id)];
+      const JobState& s = slot(id);
       true_profiles.push_back(s.job.profile);
       max_gpus = std::max(max_gpus, s.job.num_gpus);
       min_gpus = std::min(min_gpus, s.job.num_gpus);
@@ -870,7 +869,7 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
         options_.exec);
     if (group->mode == GroupMode::kInterleaved && p > 1) {
       for (JobId id : group->members) {
-        jobs_[static_cast<size_t>(id)].group_gamma = ex.gamma_pred;
+        slot(id).group_gamma = ex.gamma_pred;
       }
     }
 
@@ -884,14 +883,14 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
     // opens a new one.
     bool group_unchanged = true;
     for (JobId id : group->members) {
-      const JobState& s = jobs_[static_cast<size_t>(id)];
+      const JobState& s = slot(id);
       group_unchanged =
           group_unchanged && s.phase == JobPhase::kRunning && s.key == key;
     }
     std::int64_t gid;
     GroupAccount* acct_ptr;
     if (group_unchanged) {
-      const JobState& first = jobs_[static_cast<size_t>(group->members[0])];
+      const JobState& first = slot(group->members[0]);
       gid = first.group_id;
       acct_ptr = first.acct;
       // Attribution follows the placement if the unchanged group moved.
@@ -904,7 +903,7 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
 
     for (size_t i = 0; i < p; ++i) {
       const JobId id = group->members[i];
-      JobState& s = jobs_[static_cast<size_t>(id)];
+      JobState& s = slot(id);
       const bool running = s.phase == JobPhase::kRunning;
       const bool unchanged = running && s.key == key;
       const double strag = straggler_factor_for(s.job, machines);
@@ -925,7 +924,7 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
         s.key = key;
         s.ready_at = now_ + options_.restart_penalty;
         s.next_fault = fault_rate_ > 0
-                           ? now_ + fault_rng_[static_cast<size_t>(id)]
+                           ? now_ + fault_rng_[index(id)]
                                         ->exponential(fault_rate_)
                            : kInf;
         if (s.first_scheduled < 0) {
@@ -967,7 +966,7 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
 
   // Jobs not in the admitted plan are preempted back to the queue.
   for (JobId id : live_) {
-    JobState& s = jobs_[static_cast<size_t>(id)];
+    JobState& s = slot(id);
     if (s.phase != JobPhase::kRunning || s.placed_round == rounds_) continue;
     job_instant(s, "preempt");
     c_preempt_displaced_.inc();
@@ -992,7 +991,7 @@ void ExecutionEngine::refresh_utilization() {
   utilization_.fill(0.0);
   const double total_gpus = cluster_.total_gpus();
   for (JobId id : live_) {
-    const JobState& s = jobs_[static_cast<size_t>(id)];
+    const JobState& s = slot(id);
     if (s.phase != JobPhase::kRunning || s.period <= 0) continue;
     const double share = static_cast<double>(s.key.num_gpus) / total_gpus;
     for (int j = 0; j < kNumResources; ++j) {
@@ -1017,7 +1016,7 @@ void ExecutionEngine::observe_metrics() {
   // exact in any order.
   seen_groups_.clear();
   for (JobId id : live_) {
-    const JobState& s = jobs_[static_cast<size_t>(id)];
+    const JobState& s = slot(id);
     if (s.phase == JobPhase::kQueued) {
       ++pending;
       const Duration pending_time = (now_ - s.job.submit_time) - s.ran_wall;
@@ -1236,7 +1235,7 @@ void ExecutionEngine::emit_busy_counters() {
   std::vector<std::array<double, kNumResources>> density(
       static_cast<size_t>(options_.cluster.num_machines));
   for (JobId id : live_) {
-    const JobState& s = jobs_[static_cast<size_t>(id)];
+    const JobState& s = slot(id);
     if (s.phase != JobPhase::kRunning || s.acct == nullptr) continue;
     if (!(s.period > 0) || !std::isfinite(s.period)) continue;
     size_t m = s.acct->machine >= 0 ? static_cast<size_t>(s.acct->machine)

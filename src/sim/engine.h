@@ -103,8 +103,12 @@ class ExecutionEngine {
   // daemon's simulated base time). `options` supplies the cluster, the
   // execution model, restart penalty, fault processes and obs hooks; the
   // driver-level fields (schedule_interval, max_time) are not read.
+  // `first_id` is the lowest id submit() will be given: the job table
+  // starts there, so a restarted daemon whose ids start high does not
+  // allocate for the ids below them.
   ExecutionEngine(Scheduler& scheduler, const SimOptions& options,
-                  Time start, EngineObserver* observer = nullptr);
+                  Time start, EngineObserver* observer = nullptr,
+                  JobId first_id = 0);
 
   ExecutionEngine(const ExecutionEngine&) = delete;
   ExecutionEngine& operator=(const ExecutionEngine&) = delete;
@@ -237,6 +241,10 @@ class ExecutionEngine {
 
   JobState* find(JobId id);
   const JobState* find(JobId id) const;
+  // The table slot of `id` (first_id_ <= id), found or not.
+  size_t index(JobId id) const { return static_cast<size_t>(id - first_id_); }
+  JobState& slot(JobId id) { return jobs_[index(id)]; }
+  const JobState& slot(JobId id) const { return jobs_[index(id)]; }
   static bool is_live(const JobState& s) {
     return s.phase == JobPhase::kQueued || s.phase == JobPhase::kRunning;
   }
@@ -283,14 +291,15 @@ class ExecutionEngine {
   FaultInjector injector_;
   WorkerMonitor monitor_;
 
-  std::vector<JobState> jobs_;  // indexed by JobId
+  const JobId first_id_;
+  std::vector<JobState> jobs_;  // indexed by JobId - first_id_
   // Ids of the queued and running jobs, ascending. Every per-step loop
   // walks this list instead of jobs_, so a step costs the live jobs, not
   // every job ever submitted; id order fixes the order of float sums and
   // records. It may hold ended ids until the next prune_live().
   std::vector<JobId> live_;
   bool live_stale_ = false;
-  // Per-job fault substreams, indexed by id (boxed: an mt19937_64 is
+  // Per-job fault substreams, indexed like jobs_ (boxed: an mt19937_64 is
   // 2.5 KB, and ids the engine never sees need no slot's worth).
   std::vector<std::unique_ptr<Rng>> fault_rng_;
   // observe_metrics scratch: (group id, width) of each running job.

@@ -746,8 +746,8 @@ TEST(Provenance, ExplainOverAWalSaysTheExplanationIsAbsent) {
   recovery::WalReadResult decoded;
   ASSERT_TRUE(recovery::read_wal_file(path, decoded));
   std::string wal_jsonl;
-  for (const recovery::WalFrame& frame : decoded.frames) {
-    wal_jsonl += frame.payload + "\n";
+  for (const std::string& record : decoded.records) {
+    wal_jsonl += record + "\n";
   }
   std::vector<DecisionRecord> wal;
   std::vector<DecisionRecord> full;

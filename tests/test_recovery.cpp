@@ -1,9 +1,8 @@
 // Crash-safe scheduling (src/recovery): WAL framing and torn-tail
-// truncation, deterministic replay of DecisionLog streams, snapshot +
-// suffix-replay recovery, log compaction, and the acceptance sweep —
-// kill the durable log at every record boundary, resume, and converge
-// bit-exactly (SimResult, plans, WAL bytes) with the uninterrupted run,
-// across seeds.
+// truncation, deterministic replay of DecisionLog streams, recovery by
+// folding the WAL's records, and the acceptance sweep — kill the durable
+// log at every record boundary, resume, and converge bit-exactly
+// (SimResult, plans, WAL bytes) with the uninterrupted run, across seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,11 +29,9 @@ namespace {
 using obs::DecisionLog;
 using recovery::DurableSink;
 using recovery::DurableSinkOptions;
-using recovery::FrameKind;
 using recovery::RecoverResult;
 using recovery::ReplayEngine;
 using recovery::ReplayState;
-using recovery::WalFrame;
 using recovery::WalReadResult;
 
 std::string temp_path(const std::string& name) {
@@ -65,35 +62,34 @@ TEST(Wal, Crc32MatchesTheIeeeReference) {
 
 TEST(Wal, FramesRoundTrip) {
   std::string bytes;
-  recovery::append_wal_frame(bytes, FrameKind::kRecord, "{\"a\":1}");
-  recovery::append_wal_frame(bytes, FrameKind::kSnapshot, "{\"s\":2}");
-  recovery::append_wal_frame(bytes, FrameKind::kRecord, "");
+  recovery::append_wal_frame(bytes, "{\"a\":1}");
+  recovery::append_wal_frame(bytes, "{\"b\":2}");
+  recovery::append_wal_frame(bytes, "");
   EXPECT_TRUE(recovery::looks_like_wal(bytes));
+  EXPECT_EQ(bytes[4], static_cast<char>(recovery::kRecordFrame));
+  EXPECT_EQ(bytes.size(), 3 * recovery::kWalHeaderSize + 14);
 
   const WalReadResult decoded = recovery::decode_wal(bytes);
   EXPECT_FALSE(decoded.torn);
+  EXPECT_TRUE(decoded.error.empty());
   EXPECT_EQ(decoded.valid_bytes, bytes.size());
-  ASSERT_EQ(decoded.frames.size(), 3u);
-  EXPECT_EQ(decoded.frames[0].kind, FrameKind::kRecord);
-  EXPECT_EQ(decoded.frames[0].payload, "{\"a\":1}");
-  EXPECT_EQ(decoded.frames[1].kind, FrameKind::kSnapshot);
-  EXPECT_EQ(decoded.frames[1].payload, "{\"s\":2}");
-  EXPECT_EQ(decoded.frames[2].payload, "");
+  EXPECT_EQ(decoded.records,
+            (std::vector<std::string>{"{\"a\":1}", "{\"b\":2}", ""}));
 }
 
 TEST(Wal, TornTailStopsTheScanWithoutLosingThePrefix) {
   std::string bytes;
-  recovery::append_wal_frame(bytes, FrameKind::kRecord, "{\"a\":1}");
+  recovery::append_wal_frame(bytes, "{\"a\":1}");
   const std::size_t clean_size = bytes.size();
   std::string full = bytes;
-  recovery::append_wal_frame(full, FrameKind::kRecord, "{\"b\":22}");
+  recovery::append_wal_frame(full, "{\"b\":22}");
 
   // Cut the second frame mid-payload: the classic crashed-append shape.
   const std::string torn = full.substr(0, full.size() - 3);
   WalReadResult decoded = recovery::decode_wal(torn);
   EXPECT_TRUE(decoded.torn);
   EXPECT_EQ(decoded.valid_bytes, clean_size);
-  ASSERT_EQ(decoded.frames.size(), 1u);
+  ASSERT_EQ(decoded.records.size(), 1u);
   EXPECT_NE(decoded.torn_reason.find("byte offset " +
                                      std::to_string(clean_size)),
             std::string::npos);
@@ -104,7 +100,7 @@ TEST(Wal, TornTailStopsTheScanWithoutLosingThePrefix) {
   decoded = recovery::decode_wal(corrupt);
   EXPECT_TRUE(decoded.torn);
   EXPECT_NE(decoded.torn_reason.find("checksum"), std::string::npos);
-  EXPECT_EQ(decoded.frames.size(), 1u);
+  EXPECT_EQ(decoded.records.size(), 1u);
 
   // truncate_wal_file cuts the file to the valid prefix in place.
   const std::string path = temp_path("torn.wal");
@@ -216,14 +212,12 @@ void expect_same_result(const SimResult& want, const SimResult& got) {
 }
 
 // One durable reference run: returns the SimResult and leaves the WAL at
-// `path` (snapshots every `snapshot_every` records).
+// `path`.
 SimResult durable_run(const Trace& trace, const std::string& path,
-                      std::int64_t snapshot_every,
                       std::vector<std::vector<PlannedGroup>>* plans,
                       std::string* jsonl = nullptr) {
   DurableSinkOptions sink_options;
   sink_options.fsync = DurableSinkOptions::Fsync::kNone;
-  sink_options.snapshot_every_records = snapshot_every;
   DurableSink sink(path, sink_options);
   EXPECT_TRUE(sink.ok()) << sink.error();
 
@@ -262,18 +256,17 @@ std::string state_tier(const std::string& jsonl) {
 TEST(DurableSink, PersistsRecordsInCommitOrder) {
   const std::string path = temp_path("sink_order.wal");
   std::string jsonl;
-  durable_run(recovery_trace(1), path, 0, nullptr, &jsonl);
+  durable_run(recovery_trace(1), path, nullptr, &jsonl);
 
   WalReadResult decoded;
   std::string error;
   ASSERT_TRUE(recovery::read_wal_file(path, decoded, &error)) << error;
   EXPECT_FALSE(decoded.torn);
   std::string replayed;
-  for (const WalFrame& frame : decoded.frames) {
-    ASSERT_EQ(frame.kind, FrameKind::kRecord);
-    EXPECT_FALSE(obs::is_explanation_record(obs::record_type(frame.payload)))
-        << frame.payload;
-    replayed += frame.payload;
+  for (const std::string& record : decoded.records) {
+    EXPECT_FALSE(obs::is_explanation_record(obs::record_type(record)))
+        << record;
+    replayed += record;
     replayed += '\n';
   }
   // The WAL is the state-tier subsequence of the in-memory log, byte for
@@ -281,7 +274,7 @@ TEST(DurableSink, PersistsRecordsInCommitOrder) {
   const std::string state = state_tier(jsonl);
   EXPECT_EQ(replayed, state);
   EXPECT_LT(state.size(), jsonl.size());
-  EXPECT_GT(decoded.frames.size(), 100u);
+  EXPECT_GT(decoded.records.size(), 100u);
 }
 
 TEST(DurableSink, StopAfterRecordsLeavesABoundedPrefix) {
@@ -308,8 +301,8 @@ TEST(DurableSink, StopAfterRecordsLeavesABoundedPrefix) {
 
   WalReadResult decoded;
   ASSERT_TRUE(recovery::read_wal_file(path, decoded, nullptr));
-  ASSERT_EQ(decoded.frames.size(), 2u);
-  EXPECT_EQ(decoded.frames[1].payload.find("never_written"),
+  ASSERT_EQ(decoded.records.size(), 2u);
+  EXPECT_EQ(decoded.records[1].find("never_written"),
             std::string::npos);
 }
 
@@ -319,7 +312,7 @@ TEST(DurableSink, StopAfterRecordsLeavesABoundedPrefix) {
 TEST(Replay, SameLogReplayedTwiceYieldsIdenticalState) {
   const std::string path = temp_path("replay_twice.wal");
   std::string jsonl;
-  durable_run(recovery_trace(1), path, 0, nullptr, &jsonl);
+  durable_run(recovery_trace(1), path, nullptr, &jsonl);
 
   ReplayEngine first, second;
   std::string error;
@@ -336,10 +329,10 @@ TEST(Replay, ThreadedRunReplaysIdenticalToSerial) {
   // another thread must log the very bytes of a run on this one.
   const Trace trace = recovery_trace(2);
   std::string serial_jsonl, threaded_jsonl;
-  durable_run(trace, temp_path("replay_serial.wal"), 0, nullptr,
+  durable_run(trace, temp_path("replay_serial.wal"), nullptr,
               &serial_jsonl);
   std::thread worker([&] {
-    durable_run(trace, temp_path("replay_threaded.wal"), 0, nullptr,
+    durable_run(trace, temp_path("replay_threaded.wal"), nullptr,
                 &threaded_jsonl);
   });
   worker.join();
@@ -354,8 +347,8 @@ TEST(Replay, ThreadedRunReplaysIdenticalToSerial) {
 TEST(Replay, FinalStateMatchesTheLiveSimResult) {
   const Trace trace = recovery_trace(1);
   std::string jsonl;
-  const SimResult live = durable_run(trace, temp_path("replay_live.wal"),
-                                     0, nullptr, &jsonl);
+  const SimResult live =
+      durable_run(trace, temp_path("replay_live.wal"), nullptr, &jsonl);
 
   ReplayEngine engine;
   std::string error;
@@ -381,25 +374,20 @@ TEST(Replay, FinalStateMatchesTheLiveSimResult) {
   // the last job completion is still down when the run ends.
 }
 
-TEST(Replay, SnapshotJsonRoundTrips) {
+TEST(Replay, StateJsonRendersTheRestartSetByteStably) {
   std::string jsonl;
-  durable_run(recovery_trace(3), temp_path("replay_rt.wal"), 0, nullptr,
+  durable_run(recovery_trace(3), temp_path("replay_rt.wal"), nullptr,
               &jsonl);
   ReplayEngine engine;
   ASSERT_TRUE(engine.replay(jsonl));
-
-  const std::string snapshot = recovery::state_json(engine.state());
-  ReplayState restored;
-  std::string error;
-  ASSERT_TRUE(recovery::state_from_json(snapshot, restored, &error)) << error;
-  EXPECT_EQ(restored, engine.state());
-  EXPECT_EQ(recovery::state_json(restored), snapshot);
-  EXPECT_FALSE(recovery::state_text(restored).empty());
+  EXPECT_EQ(recovery::state_json(engine.state()).back(), '\n');
+  EXPECT_FALSE(recovery::state_text(engine.state()).empty());
 
   // The daemon restart set: a name that needs escaping, fractional
   // deadline and progress, a placement that clears a start deadline, and
   // an id that only a queued cancel names.
   ReplayEngine daemon;
+  std::string error;
   ASSERT_TRUE(daemon.replay(
       "{\"type\":\"daemon_start\",\"round\":0,\"t\":0,\"machines\":2,"
       "\"gpus\":8}\n"
@@ -431,21 +419,31 @@ TEST(Replay, SnapshotJsonRoundTrips) {
   EXPECT_EQ(named.deadline_s, 600.25);
   EXPECT_EQ(named.done, 12.75);
   EXPECT_EQ(live.jobs.at(1).deadline_s, 0);
-  const std::string daemon_snapshot = recovery::state_json(live);
-  ASSERT_TRUE(recovery::state_from_json(daemon_snapshot, restored, &error))
-      << error;
-  EXPECT_EQ(restored, live);
-  EXPECT_EQ(recovery::state_json(restored), daemon_snapshot);
+  // muri-report replay --format=json prints these bytes; pinned.
+  EXPECT_EQ(recovery::state_json(live),
+            R"({"type":"replay_state","runs":0,"records":6,"round":1,)"
+            R"("sim_time":9,"run_complete":false,"machines":2,"gpus":8,)"
+            R"("arrived":[0,1],"running":[1],"finished":[],"max_job":4,)"
+            R"("jobs":[{"job":0,"t":1.5,"model":"gpt2","gpus":2,)"
+            R"("iterations":900,"name":"a \"quoted\" name",)"
+            R"("deadline_s":600.25,"done":12.75},{"job":1,"t":2,)"
+            R"("model":"bert","gpus":1,"iterations":50,"name":"",)"
+            R"("deadline_s":0,"done":0}],"placement_round":1,)"
+            R"("groups":[{"jobs":[1],"gpus":1,"mode":"","machines":[0],)"
+            R"("owner":1}],"machines_down":[],"jcts":[],"makespan":0,)"
+            R"("finished_jobs":0,"unfinished_jobs":0,"faults":0,)"
+            R"("restarts":0,"machine_failures":0,"evictions":0,)"
+            R"("scheduler_invocations":0})"
+            "\n");
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot + suffix recovery, compaction.
+// Recovery from the WAL.
 
-TEST(Recovery, SnapshotPlusSuffixReplayEqualsFullReplay) {
-  const std::string path = temp_path("snap_suffix.wal");
+TEST(Recovery, WalRecoveryEqualsFullReplay) {
+  const std::string path = temp_path("wal_fold.wal");
   std::string jsonl;
-  durable_run(recovery_trace(1), path, /*snapshot_every=*/17, nullptr,
-              &jsonl);
+  durable_run(recovery_trace(1), path, nullptr, &jsonl);
 
   ReplayEngine full;
   ASSERT_TRUE(full.replay(jsonl));
@@ -453,34 +451,66 @@ TEST(Recovery, SnapshotPlusSuffixReplayEqualsFullReplay) {
   RecoverResult recovered;
   std::string error;
   ASSERT_TRUE(recovery::recover_wal(path, recovered, &error)) << error;
-  EXPECT_TRUE(recovered.used_snapshot);
-  EXPECT_LT(recovered.replayed_records, full.state().records);
+  EXPECT_FALSE(recovered.torn);
+  EXPECT_EQ(recovered.valid_bytes, slurp(path).size());
   EXPECT_EQ(recovered.state, full.state());
-  EXPECT_EQ(recovered.records_on_disk, full.state().records);
 }
 
-TEST(Recovery, CompactionPreservesRecoveredStateAndShrinksTheFile) {
-  const std::string path = temp_path("compact.wal");
-  durable_run(recovery_trace(2), path, /*snapshot_every=*/17, nullptr);
+// A WAL an older build wrote with snapshot frames (kind 2) is refused by
+// every reader, never taken for a torn tail: a resume would otherwise cut
+// the file at the snapshot, along with every record after it.
+TEST(Recovery, SnapshotFrameIsRefusedAndTheFileLeftAsIs) {
+  const std::string record =
+      "{\"type\":\"round_start\",\"round\":1,\"scheduler\":\"x\","
+      "\"policy\":\"y\",\"queue\":0,\"capacity\":0}";
+  std::string bytes;
+  recovery::append_wal_frame(bytes, record);
+  const std::size_t snapshot_at = bytes.size();
+  recovery::append_wal_frame(bytes, "{\"type\":\"replay_state\"}");
+  bytes[snapshot_at + 4] = 2;  // the retired snapshot kind
+  recovery::append_wal_frame(bytes, record);
+  std::string torn;
+  recovery::append_wal_frame(torn, record);
+  for (const std::string& wal : {bytes, bytes + torn.substr(0, 20)}) {
+    SCOPED_TRACE(wal.size());
+    const std::string where =
+        "frame 1 at byte offset " + std::to_string(snapshot_at) +
+        " is a snapshot frame";
+    const WalReadResult decoded = recovery::decode_wal(wal);
+    EXPECT_FALSE(decoded.torn);
+    EXPECT_EQ(decoded.valid_bytes, snapshot_at);
+    EXPECT_NE(decoded.error.find(where), std::string::npos) << decoded.error;
 
-  RecoverResult before;
-  ASSERT_TRUE(recovery::recover_wal(path, before, nullptr));
-  const std::size_t size_before = slurp(path).size();
+    const std::string path = temp_path("snapshot_frame.wal");
+    spit(path, wal);
+    RecoverResult recovered;
+    std::string error;
+    EXPECT_FALSE(recovery::recover_wal(path, recovered, &error));
+    EXPECT_NE(error.find(where), std::string::npos) << error;
+    for (const bool append : {false, true}) {
+      DurableSinkOptions options;
+      options.resume = !append;
+      options.append_resume = append;
+      DurableSink sink(path, options);
+      EXPECT_FALSE(sink.ok());
+      EXPECT_NE(sink.error().find(path + ": " + where), std::string::npos)
+          << sink.error();
+      sink.on_record(record);
+      sink.close();
+      EXPECT_EQ(slurp(path), wal);
+    }
 
-  std::string error;
-  ASSERT_TRUE(recovery::compact_wal(path, &error)) << error;
-  EXPECT_LT(slurp(path).size(), size_before);
-
-  // A compacted file opens with its snapshot.
-  WalReadResult decoded;
-  ASSERT_TRUE(recovery::read_wal_file(path, decoded, nullptr));
-  ASSERT_FALSE(decoded.frames.empty());
-  EXPECT_EQ(decoded.frames[0].kind, FrameKind::kSnapshot);
-
-  RecoverResult after;
-  ASSERT_TRUE(recovery::recover_wal(path, after, nullptr));
-  EXPECT_EQ(after.state, before.state);
-  EXPECT_EQ(after.records_on_disk, before.records_on_disk);
+    recovery::ResumeOptions options;
+    options.wal_path = path;
+    MuriScheduler scheduler;
+    SimResult result;
+    recovery::ResumeReport report;
+    EXPECT_FALSE(recovery::resume_simulation(recovery_trace(1), scheduler,
+                                             faulty_cluster(), options,
+                                             result, report, &error));
+    EXPECT_NE(error.find(where), std::string::npos) << error;
+    EXPECT_EQ(slurp(path), wal);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -489,15 +519,14 @@ TEST(Recovery, CompactionPreservesRecoveredStateAndShrinksTheFile) {
 TEST(Recovery, ColdStartResumeJustRunsDurably) {
   const Trace trace = recovery_trace(1);
   std::vector<std::vector<PlannedGroup>> clean_plans;
-  const SimResult clean = durable_run(trace, temp_path("cold_ref.wal"), 9,
-                                      &clean_plans);
+  const SimResult clean =
+      durable_run(trace, temp_path("cold_ref.wal"), &clean_plans);
 
   const std::string path = temp_path("cold_start.wal");
   std::remove(path.c_str());
   recovery::ResumeOptions options;
   options.wal_path = path;
   options.sink.fsync = DurableSinkOptions::Fsync::kNone;
-  options.sink.snapshot_every_records = 9;
   std::vector<std::vector<PlannedGroup>> plans;
   PlanRecorder scheduler(std::make_unique<MuriScheduler>(), &plans);
   SimResult result;
@@ -506,7 +535,7 @@ TEST(Recovery, ColdStartResumeJustRunsDurably) {
   ASSERT_TRUE(recovery::resume_simulation(trace, scheduler, faulty_cluster(),
                                           options, result, report, &error))
       << error;
-  EXPECT_EQ(report.recovered.records_on_disk, 0);
+  EXPECT_EQ(report.recovered.state.records, 0);
   EXPECT_EQ(report.records_verified, 0);
   EXPECT_GT(report.records_appended, 0);
   expect_same_result(clean, result);
@@ -518,7 +547,7 @@ TEST(Recovery, ResumeDetectsDivergence) {
   // regenerated record that differs flags divergence instead of
   // corrupting the durable history.
   const std::string path = temp_path("diverge.wal");
-  durable_run(recovery_trace(1), path, 0, nullptr);
+  durable_run(recovery_trace(1), path, nullptr);
 
   recovery::ResumeOptions options;
   options.wal_path = path;
@@ -534,51 +563,6 @@ TEST(Recovery, ResumeDetectsDivergence) {
   EXPECT_NE(error.find("divergence"), std::string::npos);
 }
 
-TEST(Recovery, ResumeAfterCompactionSkipsTheCoveredPrefix) {
-  const Trace trace = recovery_trace(2);
-  std::vector<std::vector<PlannedGroup>> clean_plans;
-  const SimResult clean =
-      durable_run(trace, temp_path("compact_ref.wal"), 11, &clean_plans);
-
-  // Crash mid-run (prefix of the reference WAL), then compact the
-  // surviving prefix before resuming.
-  const std::string path = temp_path("compact_resume.wal");
-  {
-    WalReadResult decoded;
-    ASSERT_TRUE(
-        recovery::read_wal_file(temp_path("compact_ref.wal"), decoded,
-                                nullptr));
-    std::string prefix;
-    for (std::size_t i = 0; i < decoded.frames.size() / 2; ++i) {
-      recovery::append_wal_frame(prefix, decoded.frames[i].kind,
-                                 decoded.frames[i].payload);
-    }
-    spit(path, prefix);
-  }
-  ASSERT_TRUE(recovery::compact_wal(path, nullptr));
-
-  recovery::ResumeOptions options;
-  options.wal_path = path;
-  options.sink.fsync = DurableSinkOptions::Fsync::kNone;
-  options.sink.snapshot_every_records = 11;
-  std::vector<std::vector<PlannedGroup>> plans;
-  PlanRecorder scheduler(std::make_unique<MuriScheduler>(), &plans);
-  SimResult result;
-  recovery::ResumeReport report;
-  std::string error;
-  ASSERT_TRUE(recovery::resume_simulation(trace, scheduler, faulty_cluster(),
-                                          options, result, report, &error))
-      << error;
-  EXPECT_TRUE(report.recovered.used_snapshot);
-  EXPECT_GT(report.recovered.records_on_disk, 0);
-  EXPECT_FALSE(report.diverged);
-  expect_same_result(clean, result);
-  ASSERT_EQ(plans.size(), clean_plans.size());
-  for (std::size_t i = 0; i < plans.size(); ++i) {
-    EXPECT_TRUE(same_plan(clean_plans[i], plans[i])) << "plan " << i;
-  }
-}
-
 TEST(Resume, VerifiesOnlyStateRecords) {
   // A crash left the first half of a state-tier WAL. The resumed run
   // regenerates the whole log, explanation records included; the sink
@@ -587,22 +571,22 @@ TEST(Resume, VerifiesOnlyStateRecords) {
   const Trace trace = recovery_trace(3);
   std::string jsonl;
   const std::string clean_path = temp_path("verify_state_clean.wal");
-  durable_run(trace, clean_path, 0, nullptr, &jsonl);
+  durable_run(trace, clean_path, nullptr, &jsonl);
   const std::string clean_bytes = slurp(clean_path);
   const WalReadResult decoded = recovery::decode_wal(clean_bytes);
   const auto lines = [](const std::string& s) {
     return static_cast<std::int64_t>(std::count(s.begin(), s.end(), '\n'));
   };
   const std::int64_t state_records = lines(state_tier(jsonl));
-  ASSERT_EQ(static_cast<std::int64_t>(decoded.frames.size()), state_records);
+  ASSERT_EQ(static_cast<std::int64_t>(decoded.records.size()), state_records);
   ASSERT_LT(state_records, lines(jsonl));
 
   const std::int64_t kept = state_records / 2;
   const std::string path = temp_path("verify_state.wal");
   std::string prefix;
   for (std::int64_t i = 0; i < kept; ++i) {
-    const WalFrame& frame = decoded.frames[static_cast<std::size_t>(i)];
-    recovery::append_wal_frame(prefix, frame.kind, frame.payload);
+    recovery::append_wal_frame(prefix,
+                               decoded.records[static_cast<std::size_t>(i)]);
   }
   spit(path, prefix);
 
@@ -616,16 +600,17 @@ TEST(Resume, VerifiesOnlyStateRecords) {
   ASSERT_TRUE(recovery::resume_simulation(trace, scheduler, faulty_cluster(),
                                           options, result, report, &error))
       << error;
-  EXPECT_EQ(report.recovered.records_on_disk, kept);
+  EXPECT_EQ(report.recovered.state.records, kept);
   EXPECT_EQ(report.records_verified, kept);
   EXPECT_EQ(report.records_appended, state_records - kept);
   EXPECT_EQ(slurp(path), clean_bytes);
 }
 
 // ---------------------------------------------------------------------------
-// The acceptance sweep: kill at EVERY record boundary, recover from
-// snapshot + suffix, and converge with the uninterrupted run — bit-exact
-// SimResult, identical plans, byte-identical WAL — for two seeds.
+// The acceptance sweep: kill at EVERY record boundary, recover by folding
+// the surviving records, and converge with the uninterrupted run —
+// bit-exact SimResult, identical plans, byte-identical WAL — for two
+// seeds.
 
 TEST(Recovery, KillAtEveryRecordBoundarySweepConverges) {
   for (const std::uint64_t seed : {1ull, 2ull}) {
@@ -634,28 +619,25 @@ TEST(Recovery, KillAtEveryRecordBoundarySweepConverges) {
     const std::string tag = std::to_string(seed);
     const std::string clean_path = temp_path("sweep_clean_" + tag + ".wal");
     std::vector<std::vector<PlannedGroup>> clean_plans;
-    const SimResult clean =
-        durable_run(trace, clean_path, /*snapshot_every=*/13, &clean_plans);
+    const SimResult clean = durable_run(trace, clean_path, &clean_plans);
     const std::string clean_bytes = slurp(clean_path);
     WalReadResult decoded = recovery::decode_wal(clean_bytes);
     ASSERT_FALSE(decoded.torn);
-    ASSERT_GT(decoded.frames.size(), 50u);
+    ASSERT_GT(decoded.records.size(), 50u);
 
     const std::string path = temp_path("sweep_" + tag + ".wal");
-    for (std::size_t boundary = 0; boundary <= decoded.frames.size();
+    for (std::size_t boundary = 0; boundary <= decoded.records.size();
          ++boundary) {
       // The WAL as a crash at this frame boundary leaves it. Adding
       // half of the next frame exercises torn-tail truncation on the
       // same boundaries at no extra simulation cost.
       std::string prefix;
       for (std::size_t i = 0; i < boundary; ++i) {
-        recovery::append_wal_frame(prefix, decoded.frames[i].kind,
-                                   decoded.frames[i].payload);
+        recovery::append_wal_frame(prefix, decoded.records[i]);
       }
-      if (boundary % 3 == 0 && boundary < decoded.frames.size()) {
+      if (boundary % 3 == 0 && boundary < decoded.records.size()) {
         std::string next;
-        recovery::append_wal_frame(next, decoded.frames[boundary].kind,
-                                   decoded.frames[boundary].payload);
+        recovery::append_wal_frame(next, decoded.records[boundary]);
         prefix += next.substr(0, next.size() / 2);
       }
       spit(path, prefix);
@@ -663,7 +645,6 @@ TEST(Recovery, KillAtEveryRecordBoundarySweepConverges) {
       recovery::ResumeOptions options;
       options.wal_path = path;
       options.sink.fsync = DurableSinkOptions::Fsync::kNone;
-      options.sink.snapshot_every_records = 13;
       std::vector<std::vector<PlannedGroup>> plans;
       PlanRecorder scheduler(std::make_unique<MuriScheduler>(), &plans);
       SimResult result;
