@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <string>
@@ -447,6 +448,58 @@ TEST(EngineLiveList, CountsAndRecordOrderHoldThroughEveryStep) {
   EXPECT_GE(run.same_instant_finishes, 1);
   EXPECT_GE(run.degraded, 1);
   EXPECT_GT(run.wait_records, 0);
+}
+
+
+// ---------------------------------------------------------------------------
+// ExecutionEngine: per-job fault substreams over a long sequence of draws.
+
+// 64-bit FNV-1a over the bytes of `s`.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(EngineFaultStream, LongRestartSequencesKeepTheirFaultTimes) {
+  // One long job among short ones, under Muri-L with a 72 s job MTBF: the
+  // long job is (re)placed hundreds of times, so its fault substream is
+  // drawn far past its first 156 outputs. The digests pin every fault
+  // time of every job through the decision log and the result.
+  Trace t;
+  t.name = "fault-stream";
+  t.jobs.push_back(make_job(0, ModelKind::kVgg16, 1, 0, 20000));
+  t.jobs.push_back(make_job(1, ModelKind::kShuffleNet, 1, 0, 900));
+  t.jobs.push_back(make_job(2, ModelKind::kA2c, 1, 30, 900));
+  t.jobs.push_back(make_job(3, ModelKind::kGpt2, 1, 60, 900));
+  t.jobs.push_back(make_job(4, ModelKind::kResNet18, 1, 90, 600));
+  obs::DecisionLog log;
+  SimOptions opt = small_cluster(1, 2);
+  opt.mtbf_hours = 0.02;
+  opt.decisions = &log;
+  MuriScheduler muri;
+  const SimResult result = run_simulation(t, muri, opt);
+  EXPECT_EQ(result.finished_jobs, 5);
+
+  // Each fault ends a stint that began with a draw, and each regroup
+  // restart is a draw of its own, so faults + restarts bounds the draws
+  // of a job from below.
+  std::vector<int> draws_at_least(t.jobs.size(), 0);
+  for (const obs::JsonValue& r : records_since(log, 0)) {
+    const std::string& type = r.at("type").string;
+    if (type == "fault" || type == "restart") {
+      ++draws_at_least[static_cast<size_t>(r.at("job").number)];
+    }
+  }
+  EXPECT_GT(draws_at_least[0], 156);
+
+  EXPECT_EQ(fnv1a(log.jsonl()), 0x559023d351aac616ULL)
+      << std::hex << fnv1a(log.jsonl());
+  EXPECT_EQ(fnv1a(result_fingerprint(result)), 0xd4d469d571c2da85ULL)
+      << std::hex << fnv1a(result_fingerprint(result));
 }
 
 }  // namespace
