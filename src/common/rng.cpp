@@ -5,6 +5,14 @@
 
 namespace muri {
 
+Mt64Substream::result_type Mt64Substream::tail_draw() {
+  if (tail_ == nullptr) {
+    tail_ = std::make_unique<Engine>(seed_);
+    tail_->discard(kLazyDraws);
+  }
+  return (*tail_)();
+}
+
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   assert(!weights.empty());
   const double sum = std::accumulate(weights.begin(), weights.end(), 0.0);

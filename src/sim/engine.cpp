@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <random>
 
 #include "obs/jobtrace.h"
 #include "obs/provenance.h"
@@ -186,14 +187,8 @@ void ExecutionEngine::submit(const Job& job, std::string name,
   s.deadline_s = deadline_s;
   s.done_iterations =
       std::min(done_iterations, static_cast<double>(job.iterations));
-  // One fault substream per job: editing the trace never reshuffles other
-  // jobs' fault times.
-  if (fault_rate_ > 0) {
-    if (fault_rng_.size() < jobs_.size()) fault_rng_.resize(jobs_.size());
-    const std::uint64_t salt = static_cast<std::uint64_t>(job.id);
-    fault_rng_[index(job.id)] =
-        std::make_unique<Rng>(substream_seed(options_.fault_seed, salt));
-  }
+  s.fault_stream = Mt64Substream(substream_seed(
+      options_.fault_seed, static_cast<std::uint64_t>(job.id)));
   // Arrival order need not be id order (trace ties, daemon restores).
   live_.insert(std::lower_bound(live_.begin(), live_.end(), job.id), job.id);
   ++active_;
@@ -923,10 +918,11 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
         }
         s.key = key;
         s.ready_at = now_ + options_.restart_penalty;
-        s.next_fault = fault_rate_ > 0
-                           ? now_ + fault_rng_[index(id)]
-                                        ->exponential(fault_rate_)
-                           : kInf;
+        s.next_fault =
+            fault_rate_ > 0
+                ? now_ + std::exponential_distribution<double>(fault_rate_)(
+                             s.fault_stream)
+                : kInf;
         if (s.first_scheduled < 0) {
           s.first_scheduled = now_;
           if (observer_ != nullptr) {

@@ -34,7 +34,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -223,6 +222,9 @@ class ExecutionEngine {
     // Open run-stage trace span (kNoTime = none) and its machine track.
     Time run_since = kNoTime;
     MachineId run_machine = kInvalidMachine;
+    // Fault times, one draw per placement: the job's own substream of
+    // fault_seed, so editing the trace never reshuffles other jobs'.
+    Mt64Substream fault_stream;
 
     Duration remaining_solo() const {
       return (static_cast<double>(job.iterations) - done_iterations) *
@@ -299,9 +301,6 @@ class ExecutionEngine {
   // records. It may hold ended ids until the next prune_live().
   std::vector<JobId> live_;
   bool live_stale_ = false;
-  // Per-job fault substreams, indexed like jobs_ (boxed: an mt19937_64 is
-  // 2.5 KB, and ids the engine never sees need no slot's worth).
-  std::vector<std::unique_ptr<Rng>> fault_rng_;
   // observe_metrics scratch: (group id, width) of each running job.
   std::vector<std::pair<std::int64_t, int>> seen_groups_;
   std::map<OwnerId, RunningGroup> running_groups_;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -110,6 +113,75 @@ TEST(Rng, LognormalIsPositive) {
   Rng rng(9);
   for (int i = 0; i < 100; ++i) {
     EXPECT_GT(rng.lognormal(1.0, 2.0), 0.0);
+  }
+}
+
+// Seeds the engine keys per-job fault substreams with (its default
+// fault_seed, 64 job ids), plus 0, 1 and 2^64-1.
+std::vector<std::uint64_t> substream_test_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, ~std::uint64_t{0}};
+  for (std::uint64_t id = 0; id < 64; ++id) {
+    seeds.push_back(substream_seed(1337, id));
+  }
+  return seeds;
+}
+
+TEST(Mt64Substream, RawDrawsEqualMt19937_64) {
+  for (const std::uint64_t seed : substream_test_seeds()) {
+    Mt64Substream stream(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(stream(), ref()) << "seed " << seed << ", draw " << i;
+    }
+  }
+}
+
+TEST(Mt64Substream, TenThousandthDrawIsTheStandardsValue) {
+  // The standard fixes this output of a default-seeded mt19937_64.
+  Mt64Substream stream;
+  for (int i = 0; i < 9999; ++i) stream();
+  EXPECT_EQ(stream(), 9981545732273789042ULL);
+}
+
+TEST(Mt64Substream, ExponentialDrawsEqualAcrossDraw156) {
+  // One 64-bit word per double draw, so 400 draws cross the switch from
+  // the seed cursors to the full engine at draw 156.
+  std::exponential_distribution<double> d(1.0 / 7200);
+  for (const std::uint64_t seed : substream_test_seeds()) {
+    Mt64Substream stream(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(d(stream), d(ref)) << "seed " << seed << ", draw " << i;
+    }
+  }
+}
+
+TEST(Mt64Substream, StreamsMovedByVectorGrowthContinue) {
+  // Stream i takes (7 i) mod 320 draws before the next push_back, so the
+  // reallocations move streams that are fresh, part way through the seed
+  // cursors and past the switch to the full engine.
+  std::vector<Mt64Substream> streams;
+  std::vector<std::mt19937_64> refs;
+  std::vector<const Mt64Substream*> buffers;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    const std::uint64_t seed = substream_seed(7, i);
+    streams.emplace_back(seed);
+    refs.emplace_back(seed);
+    if (buffers.empty() || buffers.back() != streams.data()) {
+      buffers.push_back(streams.data());
+    }
+    for (std::uint64_t k = 0; k < (7 * i) % 320; ++k) {
+      ASSERT_EQ(streams[i](), refs[i]()) << "stream " << i << ", draw " << k;
+    }
+  }
+  EXPECT_GE(buffers.size(), 5U);  // the vector reallocated along the way
+  // A stream replaced by move assignment starts over.
+  streams[25] = Mt64Substream(substream_seed(7, 25));
+  refs[25] = std::mt19937_64(substream_seed(7, 25));
+  for (size_t i = 0; i < streams.size(); ++i) {
+    for (int k = 0; k < 200; ++k) {
+      ASSERT_EQ(streams[i](), refs[i]()) << "stream " << i << ", draw " << k;
+    }
   }
 }
 
