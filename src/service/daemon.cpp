@@ -39,13 +39,13 @@ void json_error(obs::HttpResponse& resp, int status, const std::string& what) {
   resp.body += "\",\"code\":" + std::to_string(status) + "}\n";
 }
 
-std::unique_ptr<Scheduler> make_scheduler(const std::string& name) {
-  if (name == "muri-l") {
-    return std::make_unique<MuriScheduler>();
-  }
-  if (name == "muri-s") {
+// Muri exports its muri_sched_* and muri_decision_* series into `metrics`.
+std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
+                                          obs::MetricsRegistry* metrics) {
+  if (name == "muri-l" || name == "muri-s") {
     MuriOptions opt;
-    opt.durations_known = true;
+    opt.durations_known = name == "muri-s";
+    opt.metrics = metrics;
     return std::make_unique<MuriScheduler>(opt);
   }
   if (name == "fifo") return std::make_unique<FifoScheduler>();
@@ -190,7 +190,7 @@ Time MuriDaemon::sim_now() const {
 }
 
 bool MuriDaemon::start(std::string* error) {
-  scheduler_ = make_scheduler(options_.scheduler);
+  scheduler_ = make_scheduler(options_.scheduler, &registry_);
   if (scheduler_ == nullptr) {
     if (error != nullptr) {
       *error = "unknown scheduler '" + options_.scheduler +

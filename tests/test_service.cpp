@@ -767,6 +767,41 @@ TEST(ServiceDaemon, MetricsExposeDaemonGauges) {
   daemon.stop();
 }
 
+// The value of the unlabelled series `name` in a Prometheus text body,
+// or -1 when the body has no such line.
+double metric_value(const std::string& body, const std::string& name) {
+  std::istringstream lines(body);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.compare(0, name.size() + 1, name + " ") == 0) {
+      return std::stod(line.substr(name.size() + 1));
+    }
+  }
+  return -1;
+}
+
+TEST(ServiceDaemon, MetricsExposeTheSchedulersSeries) {
+  for (const char* scheduler : {"muri-l", "muri-s"}) {
+    DaemonOptions options = manual_options();
+    options.scheduler = scheduler;
+    MuriDaemon daemon(std::move(options));
+    std::string error;
+    ASSERT_TRUE(daemon.start(&error)) << error;
+    const JobId id = submit(daemon, "resnet18", 1, 400);
+    EXPECT_EQ(run_to_completion(daemon, id), "finished");
+
+    const auto resp = get(daemon, "/metrics");
+    ASSERT_EQ(resp.status, 200);
+    EXPECT_GE(metric_value(resp.body, "muri_sched_rounds_total"), 1)
+        << scheduler;
+    EXPECT_GE(metric_value(resp.body, "muri_sched_quotient_solves_total"), 0)
+        << scheduler;
+    EXPECT_GE(metric_value(resp.body, "muri_decision_groups_formed_total"), 0)
+        << scheduler;
+    daemon.stop();
+  }
+}
+
 TEST(ServiceDaemon, JobApiErrorsCarryStructuredBodies) {
   // Every job-API error body is {"error": ..., "code": ...} so clients
   // and the loadgen never have to scrape free text.
