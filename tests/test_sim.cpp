@@ -4,9 +4,13 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
+#include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "job/trace.h"
 #include "obs/json.h"
 #include "obs/provenance.h"
 #include "scheduler/baselines.h"
@@ -499,6 +503,200 @@ TEST(EngineFaultStream, LongRestartSequencesKeepTheirFaultTimes) {
   EXPECT_EQ(fnv1a(log.jsonl()), 0x559023d351aac616ULL)
       << std::hex << fnv1a(log.jsonl());
   EXPECT_EQ(fnv1a(result_fingerprint(result)), 0xd4d469d571c2da85ULL)
+      << std::hex << fnv1a(result_fingerprint(result));
+}
+
+// ---------------------------------------------------------------------------
+// ExecutionEngine: the running-group table under every fault path.
+
+// Keeps every committed record line, for a driver that reacts to a round's
+// placements while the run goes on.
+class LineSink : public obs::DecisionLog::Sink {
+ public:
+  void on_record(std::string_view line) override { lines.emplace_back(line); }
+  std::vector<std::string> lines;
+};
+
+obs::JsonValue parse_line(const std::string& line) {
+  obs::JsonValue v;
+  std::string error;
+  EXPECT_TRUE(obs::parse_json(line, v, &error)) << error;
+  return v;
+}
+
+std::vector<JobId> job_ids(const obs::JsonValue& array) {
+  std::vector<JobId> out;
+  for (const obs::JsonValue& id : array.array) {
+    out.push_back(static_cast<JobId>(id.number));
+  }
+  return out;
+}
+
+// What one run did to the members of multi-job groups, rebuilt from its
+// records: each placement or degraded_continue opens a group, and a job
+// leaves its group's live set when it is preempted, evicted, faults,
+// finishes or is cancelled.
+struct GroupPaths {
+  int grouped_evictions = 0;   // evicted while a partner was still placed
+  int uncoordinated_degraded = 0;  // re-plan of an uncoordinated group
+  int grouped_finishes = 0;
+  int grouped_cancels = 0;
+};
+
+GroupPaths group_paths(const std::vector<std::string>& lines) {
+  struct Group {
+    std::string mode;
+    std::vector<JobId> live;
+  };
+  std::vector<Group> groups;
+  std::map<JobId, size_t> group_of;
+  GroupPaths out;
+  const auto live_partners = [&](JobId id) -> size_t {
+    const auto it = group_of.find(id);
+    return it == group_of.end() ? 0 : groups[it->second].live.size() - 1;
+  };
+  const auto leave = [&](JobId id) {
+    const auto it = group_of.find(id);
+    if (it == group_of.end()) return;
+    auto& live = groups[it->second].live;
+    live.erase(std::find(live.begin(), live.end(), id));
+    group_of.erase(it);
+  };
+  const auto open = [&](const std::vector<JobId>& ids,
+                        const std::string& mode) {
+    for (JobId id : ids) leave(id);
+    groups.push_back({mode, ids});
+    for (JobId id : ids) group_of[id] = groups.size() - 1;
+  };
+  for (const std::string& line : lines) {
+    const obs::JsonValue r = parse_line(line);
+    const std::string& type = r.at("type").string;
+    if (type == "placement") {
+      open(job_ids(r.at("jobs")), r.at("mode").string);
+    } else if (type == "degraded_continue") {
+      const std::vector<JobId> ids = job_ids(r.at("jobs"));
+      if (groups[group_of.at(ids.front())].mode == "uncoordinated") {
+        ++out.uncoordinated_degraded;
+      }
+      open(ids, r.at("mode").string);
+    } else if (type == "evict" || type == "preempt" || type == "fault" ||
+               type == "finish" || type == "job_cancel") {
+      const auto id = static_cast<JobId>(r.at("job").number);
+      if (live_partners(id) > 0) {
+        if (type == "evict") ++out.grouped_evictions;
+        if (type == "finish") ++out.grouped_finishes;
+        if (type == "job_cancel") ++out.grouped_cancels;
+      }
+      leave(id);
+    }
+  }
+  return out;
+}
+
+TEST(EngineGroupTable, AntManUnderFaultsKeepsItsRecordsAndResult) {
+  // The Muri-L fault settings of the golden run, under AntMan's
+  // uncoordinated sharing, with a client cancel of a grouped member every
+  // 25th round. The digests pin the decision stream and the result, so
+  // any change to how running groups are tracked shows up here.
+  PhillyTraceOptions topt;
+  topt.name = "golden";
+  topt.num_jobs = 300;
+  topt.seed = 13;
+  topt.jobs_per_hour = 60;
+  topt.duration_log_mean = 6.0;
+  topt.max_duration = 4 * 3600;
+  // All at t = 0, as in the fault-free AntMan golden run: a contended
+  // queue is what makes AntMan share GPUs.
+  const Trace trace = zero_arrivals(generate_philly_like(topt));
+
+  SimOptions opt;
+  opt.cluster.num_machines = 8;
+  opt.cluster.gpus_per_machine = 8;
+  opt.schedule_interval = 120;
+  opt.restart_penalty = 10;
+  opt.mtbf_hours = 2.0;
+  opt.machine_faults.machine_mtbf_hours = 6.0;
+  opt.machine_faults.machine_mttr_hours = 0.2;
+  opt.machine_faults.straggler_rate_per_hour = 0.5;
+  obs::DecisionLog log;
+  LineSink sink;
+  log.set_subscriber(&sink);
+  opt.decisions = &log;
+  AntManScheduler antman;
+
+  // The simulator's loop (sim/simulator.cpp), plus the cancels.
+  constexpr Time kInf = std::numeric_limits<Time>::infinity();
+  const size_t n = trace.jobs.size();
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return trace.jobs[a].submit_time < trace.jobs[b].submit_time;
+  });
+  const Time start = trace.jobs[order[0]].submit_time;
+  ExecutionEngine engine(antman, opt, start);
+  engine.observe_metrics();
+  size_t next = 0;
+  Time last_round = start - opt.schedule_interval;
+  bool dirty = true;
+  int cancels = 0;
+  while (engine.active_jobs() > 0 || next < n) {
+    const Time t_arrival =
+        next < n ? trace.jobs[order[next]].submit_time : kInf;
+    const Time t_round =
+        dirty ? std::max(engine.now(), last_round + opt.schedule_interval)
+              : kInf;
+    Time t_next = std::min({t_arrival, engine.next_event_time(), t_round});
+    if (t_next == kInf) {
+      dirty = true;
+      t_next = engine.now();
+    }
+    ASSERT_LT(t_next, 30 * 24 * 3600.0) << "run does not end";
+    engine.progress_to(t_next);
+    const Time now = engine.now();
+    while (next < n && trace.jobs[order[next]].submit_time <= now) {
+      engine.submit(trace.jobs[order[next++]]);
+    }
+    engine.settle();
+    dirty = dirty || engine.dirty();
+    if (dirty) engine.refresh_utilization();
+    if (dirty && now >= last_round + opt.schedule_interval - 1e-9) {
+      const size_t round_begin = sink.lines.size();
+      engine.run_round();
+      last_round = now;
+      dirty = engine.queued_jobs() > 0;
+      if (engine.rounds_run() % 25 == 0 && cancels < 4) {
+        for (size_t i = round_begin; i < sink.lines.size(); ++i) {
+          const obs::JsonValue r = parse_line(sink.lines[i]);
+          if (r.at("type").string != "placement" ||
+              r.at("jobs").array.size() < 2) {
+            continue;
+          }
+          const auto id = static_cast<JobId>(r.at("jobs").array[0].number);
+          ASSERT_TRUE(engine.cancel(id, now, "client"));
+          ++cancels;
+          dirty = true;
+          break;
+        }
+      }
+    }
+    engine.observe_metrics();
+  }
+  SimResult result;
+  result.scheduler_name = antman.name();
+  result.trace_name = trace.name;
+  engine.finalize(engine.now(), result);
+  result.unfinished_jobs = static_cast<int>(n) - result.finished_jobs;
+  result.makespan = engine.now() - start;
+
+  const GroupPaths paths = group_paths(sink.lines);
+  EXPECT_GT(paths.grouped_evictions, 0);
+  EXPECT_GT(paths.uncoordinated_degraded, 0);
+  EXPECT_GT(paths.grouped_finishes, 0);
+  EXPECT_GT(paths.grouped_cancels, 0);
+  EXPECT_GT(cancels, 0);
+
+  EXPECT_EQ(fnv1a(log.jsonl()), 0x5bce775bf148c255ULL) << std::hex << fnv1a(log.jsonl());
+  EXPECT_EQ(fnv1a(result_fingerprint(result)), 0x9fb1839567b94be8ULL)
       << std::hex << fnv1a(result_fingerprint(result));
 }
 
