@@ -87,12 +87,11 @@ bool Cluster::can_allocate(int num_gpus) const {
   return false;
 }
 
-std::vector<GpuId> Cluster::allocate(OwnerId owner, int num_gpus) {
+bool Cluster::allocate(OwnerId owner, int num_gpus,
+                       std::vector<GpuId>& granted) {
   assert(owner != kNoOwner);
-  if (!can_allocate(num_gpus)) return {};
-
-  std::vector<GpuId> granted;
-  granted.reserve(static_cast<size_t>(num_gpus));
+  granted.clear();
+  if (!can_allocate(num_gpus)) return false;
 
   auto take_from_machine = [&](MachineId m, int count) {
     int taken = 0;
@@ -132,7 +131,7 @@ std::vector<GpuId> Cluster::allocate(OwnerId owner, int num_gpus) {
     assert(best != kInvalidMachine);
     take_from_machine(best, num_gpus);
   }
-  return granted;
+  return true;
 }
 
 void Cluster::release(OwnerId owner) {

@@ -61,8 +61,9 @@ class Cluster {
   //  - demands of at least one full machine take whole free machines;
   //  - smaller demands go to the feasible machine with the fewest free
   //    GPUs (best fit), never spanning machines.
-  // Returns the allocated GPU ids, or an empty vector if infeasible.
-  std::vector<GpuId> allocate(OwnerId owner, int num_gpus);
+  // Replaces the contents of `granted` with the allocated GPU ids in
+  // ascending order; false (and `granted` empty) if infeasible.
+  bool allocate(OwnerId owner, int num_gpus, std::vector<GpuId>& granted);
 
   // Releases everything held by `owner`.
   void release(OwnerId owner);

@@ -377,7 +377,6 @@ bool ExecutionEngine::settle() {
 void ExecutionEngine::leave_running(JobState& s, JobPhase to) {
   end_run_span(s);
   s.period = 0;
-  s.key = GroupKey{};
   s.owner = kNoOwner;
   s.next_fault = kInf;
   s.straggler_factor = 1.0;
@@ -390,14 +389,15 @@ void ExecutionEngine::leave_running(JobState& s, JobPhase to) {
 
 ExecutionEngine::RunningGroup* ExecutionEngine::leave_group(
     OwnerId owner, JobId id, bool release_if_empty) {
-  const auto it = running_groups_.find(owner);
-  if (it == running_groups_.end()) return nullptr;
-  auto& members = it->second.members;
-  members.erase(std::remove(members.begin(), members.end(), id),
-                members.end());
-  if (!members.empty()) return &it->second;
+  if (owner < 1 || static_cast<size_t>(owner) > running_groups_.size()) {
+    return nullptr;
+  }
+  RunningGroup& g = running_groups_[static_cast<size_t>(owner - 1)];
+  if (g.members.empty()) return nullptr;
+  g.members.erase(std::remove(g.members.begin(), g.members.end(), id),
+                  g.members.end());
+  if (!g.members.empty()) return &g;
   if (release_if_empty) cluster_.release(owner);
-  running_groups_.erase(it);
   return nullptr;
 }
 
@@ -480,14 +480,14 @@ void ExecutionEngine::handle_machine_event(const FaultEvent& e) {
       close_fault_window(machine_straggler_since_, e.machine, "straggler");
       machine_down_since_[mi] = now_;
       machine_slow_[mi] = ResourceVector{1.0, 1.0, 1.0, 1.0};
-      for (auto it = running_groups_.begin(); it != running_groups_.end();) {
-        const auto& machines = it->second.machines;
-        if (std::find(machines.begin(), machines.end(), e.machine) ==
-            machines.end()) {
-          ++it;
+      for (size_t gi = 0; gi < running_groups_.size(); ++gi) {
+        RunningGroup& g = running_groups_[gi];
+        if (g.members.empty() ||
+            std::find(g.machines.begin(), g.machines.end(), e.machine) ==
+                g.machines.end()) {
           continue;
         }
-        for (JobId id : it->second.members) {
+        for (JobId id : g.members) {
           JobState& s = slot(id);
           if (s.phase != JobPhase::kRunning) continue;
           job_instant(s, "evict");
@@ -503,8 +503,8 @@ void ExecutionEngine::handle_machine_event(const FaultEvent& e) {
           ++s.preemptions;
           c_evictions_.inc();
         }
-        cluster_.release(it->first);
-        it = running_groups_.erase(it);
+        cluster_.release(static_cast<OwnerId>(gi + 1));
+        g.members.clear();
       }
       cluster_.set_machine_available(e.machine, false);
       queue_changed_ = true;
@@ -568,7 +568,7 @@ double ExecutionEngine::straggler_factor_for(
 }
 
 void ExecutionEngine::refresh_straggler_factors() {
-  for (const auto& [owner, group] : running_groups_) {
+  for (const RunningGroup& group : running_groups_) {
     for (JobId id : group.members) {
       JobState& s = slot(id);
       if (s.phase != JobPhase::kRunning) continue;
@@ -595,29 +595,18 @@ void ExecutionEngine::refresh_straggler_factors() {
 // periods, instead of stalling until the next round.
 void ExecutionEngine::replan_degraded(RunningGroup& g) {
   const auto p = g.members.size();
-  std::vector<IterationProfile> profiles;
-  profiles.reserve(p);
-  int max_gpus = 0, min_gpus = std::numeric_limits<int>::max();
-  for (JobId id : g.members) {
-    const JobState& s = slot(id);
-    profiles.push_back(s.job.profile);
-    max_gpus = std::max(max_gpus, s.job.num_gpus);
-    min_gpus = std::min(min_gpus, s.job.num_gpus);
-  }
   // No rotation schedule survives a member loss: fresh best-order plan for
   // an interleaved remnant, uncoordinated sharing otherwise, exclusive for
   // a lone survivor.
-  const GroupExecution ex =
-      compute_group_execution(profiles, g.mode, max_gpus, min_gpus, {}, {}, 0,
-                              /*degraded=*/true, options_.exec);
+  execute_group(g.members, g.mode, {}, {}, 0, /*degraded=*/true);
+  const GroupExecution& ex = exec_;
   g.mode = ex.effective_mode;
   if (g.mode == GroupMode::kInterleaved && p > 1) {
     for (JobId id : g.members) {
       slot(id).group_gamma = ex.gamma_pred;
     }
   }
-
-  const GroupKey key = make_key(g.members, g.mode, g.num_gpus);
+  key_.assign(g.members, g.mode, g.num_gpus);
 
   // A fresh incarnation on the same GPU set; survivors keep their old
   // restart gate (they continue without paying a new penalty).
@@ -627,8 +616,8 @@ void ExecutionEngine::replan_degraded(RunningGroup& g) {
   for (JobId id : g.members) {
     ready_at = std::max(ready_at, slot(id).ready_at);
   }
-  GroupAccount* const acct_ptr = open_account(g.members, home, g.mode,
-                                              ex.gamma_pred, ready_at);
+  GroupAccount* const acct_ptr =
+      open_account(key_, home, ex.gamma_pred, ready_at);
   acct_ptr->degraded = true;
   const std::int64_t gid = group_seq_;
 
@@ -636,7 +625,6 @@ void ExecutionEngine::replan_degraded(RunningGroup& g) {
     JobState& s = slot(g.members[i]);
     end_run_span(s);
     s.period = ex.periods[i];
-    s.key = key;
     s.degraded = true;
     s.group_id = gid;
     s.acct = acct_ptr;
@@ -651,31 +639,50 @@ void ExecutionEngine::replan_degraded(RunningGroup& g) {
   }
 }
 
-ExecutionEngine::GroupKey ExecutionEngine::make_key(
-    const std::vector<JobId>& members, GroupMode mode, int num_gpus) {
-  GroupKey key{members, mode, num_gpus};
-  std::sort(key.members.begin(), key.members.end());
-  return key;
+void ExecutionEngine::GroupKey::assign(const std::vector<JobId>& ids,
+                                       GroupMode m, int gpus) {
+  members.assign(ids.begin(), ids.end());
+  std::sort(members.begin(), members.end());
+  mode = m;
+  num_gpus = gpus;
 }
 
 ExecutionEngine::GroupAccount* ExecutionEngine::open_account(
-    const std::vector<JobId>& members, MachineId home, GroupMode mode,
-    double gamma_predicted, Time ready_at) {
+    const GroupKey& key, MachineId home, double gamma_predicted,
+    Time ready_at) {
   GroupAccount acct;
+  acct.key = key;
   acct.machine = home;
-  acct.size = static_cast<int>(members.size());
-  acct.mode = mode;
   acct.gamma_predicted = gamma_predicted;
   acct.window_start = now_;
   acct.window_end = now_;
   acct.ready_at = ready_at;
-  for (JobId id : members) {
+  for (JobId id : key.members) {
     const IterationProfile& profile = slot(id).job.profile;
     for (size_t r = 0; r < static_cast<size_t>(kNumResources); ++r) {
       if (profile.stage_time[r] > 0) acct.active[r] = true;
     }
   }
-  return &group_accounts_.emplace(++group_seq_, acct).first->second;
+  return &group_accounts_.emplace(++group_seq_, std::move(acct))
+              .first->second;
+}
+
+void ExecutionEngine::execute_group(const std::vector<JobId>& members,
+                                    GroupMode mode,
+                                    const std::vector<Resource>& slots,
+                                    const std::vector<int>& offsets,
+                                    Duration planned_period, bool degraded) {
+  profiles_.clear();
+  int max_gpus = 0, min_gpus = std::numeric_limits<int>::max();
+  for (JobId id : members) {
+    const JobState& s = slot(id);
+    profiles_.push_back(s.job.profile);
+    max_gpus = std::max(max_gpus, s.job.num_gpus);
+    min_gpus = std::min(min_gpus, s.job.num_gpus);
+  }
+  compute_group_execution(profiles_, mode, max_gpus, min_gpus, slots, offsets,
+                          planned_period, degraded, options_.exec, stages_,
+                          exec_);
 }
 
 // ---------------------------------------------------------------------------
@@ -694,8 +701,7 @@ void ExecutionEngine::run_round() {
     }
   }
 
-  std::vector<JobView> queue;
-  queue.reserve(live_.size());
+  queue_.clear();
   for (JobId id : live_) {
     const JobState& s = slot(id);
     if (!is_live(s)) continue;
@@ -708,7 +714,7 @@ void ExecutionEngine::run_round() {
     v.age = now_ - s.job.submit_time;
     v.remaining_time = options_.durations_known ? s.remaining_solo() : 0.0;
     v.running = s.phase == JobPhase::kRunning;
-    queue.push_back(std::move(v));
+    queue_.push_back(v);
   }
   SchedulerContext ctx;
   ctx.now = now_;
@@ -719,7 +725,7 @@ void ExecutionEngine::run_round() {
   ctx.available_gpus = cluster_.available_gpus();
 
   const auto t_schedule = std::chrono::steady_clock::now();
-  const std::vector<PlannedGroup> plan = scheduler_.schedule(queue, ctx);
+  const std::vector<PlannedGroup> plan = scheduler_.schedule(queue_, ctx);
   const auto t_place = std::chrono::steady_clock::now();
   scheduler_wall_ms_ += seconds_between(t_schedule, t_place) * 1e3;
   ++rounds_;
@@ -733,7 +739,7 @@ void ExecutionEngine::run_round() {
         decisions != nullptr ? decisions->current_round() : rounds_;
     options_.tracer->instant_at(
         to_us(now_), "round", "sched", obs::kSchedulerTrack, 0,
-        obs::TraceArgs("queue", static_cast<double>(queue.size()), "groups",
+        obs::TraceArgs("queue", static_cast<double>(queue_.size()), "groups",
                        static_cast<double>(plan.size()), "round",
                        static_cast<double>(round_id)));
   }
@@ -775,14 +781,12 @@ void ExecutionEngine::run_round() {
 void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
   obs::DecisionLog* const decisions = options_.decisions;
   cluster_.reset();
-  running_groups_.clear();
+  for (RunningGroup& rg : running_groups_) {
+    rg.members.clear();
+    rg.machines.clear();
+  }
   // Members of admitted groups carry placed_round == rounds_.
-  struct Admitted {
-    GroupKey key;
-    const PlannedGroup* group;
-    OwnerId owner;
-  };
-  std::vector<Admitted> admitted;
+  admitted_.clear();
   OwnerId next_owner = 1;
 
   for (const PlannedGroup& g : plan) {
@@ -813,13 +817,16 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
       continue;
     }
     const OwnerId owner = next_owner++;
-    const std::vector<GpuId> gpus = cluster_.allocate(owner, g.num_gpus);
+    cluster_.allocate(owner, g.num_gpus, gpus_);
 
-    RunningGroup rg;
-    rg.members = g.members;
+    if (running_groups_.size() < static_cast<size_t>(owner)) {
+      running_groups_.resize(static_cast<size_t>(owner));
+    }
+    RunningGroup& rg = running_groups_[static_cast<size_t>(owner - 1)];
+    rg.members.assign(g.members.begin(), g.members.end());
     rg.mode = g.mode;
     rg.num_gpus = g.num_gpus;
-    for (GpuId gpu : gpus) {
+    for (GpuId gpu : gpus_) {
       const MachineId m = cluster_.machine_of(gpu);
       if (rg.machines.empty() || rg.machines.back() != m) {
         rg.machines.push_back(m);
@@ -837,31 +844,20 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
       // The priced γ, so the jobtrace fold needs no explanation record.
       if (g.mode == GroupMode::kInterleaved) e.num("gamma", g.gamma);
     }
-    running_groups_.emplace(owner, std::move(rg));
     for (JobId id : g.members) {
       slot(id).placed_round = rounds_;
     }
-    admitted.push_back({make_key(g.members, g.mode, g.num_gpus), &g, owner});
+    admitted_.push_back({&g, owner});
   }
 
   // Execution periods; start or continue each admitted job.
-  for (const auto& [key, group, owner] : admitted) {
+  for (const auto& [group, owner] : admitted_) {
     const auto p = group->members.size();
-    std::vector<IterationProfile> true_profiles;
-    true_profiles.reserve(p);
-    int max_gpus = 0, min_gpus = std::numeric_limits<int>::max();
-    for (JobId id : group->members) {
-      const JobState& s = slot(id);
-      true_profiles.push_back(s.job.profile);
-      max_gpus = std::max(max_gpus, s.job.num_gpus);
-      min_gpus = std::min(min_gpus, s.job.num_gpus);
-    }
     // The shared execution model runs the scheduler's rotation schedule
     // against the ground-truth profiles.
-    const GroupExecution ex = compute_group_execution(
-        true_profiles, group->mode, max_gpus, min_gpus, group->slots,
-        group->offsets, group->planned_period, /*degraded=*/false,
-        options_.exec);
+    execute_group(group->members, group->mode, group->slots, group->offsets,
+                  group->planned_period, /*degraded=*/false);
+    const GroupExecution& ex = exec_;
     if (group->mode == GroupMode::kInterleaved && p > 1) {
       for (JobId id : group->members) {
         slot(id).group_gamma = ex.gamma_pred;
@@ -869,18 +865,20 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
     }
 
     const std::vector<MachineId>& machines =
-        running_groups_.at(owner).machines;
+        running_groups_[static_cast<size_t>(owner - 1)].machines;
     const MachineId home =
         machines.empty() ? kInvalidMachine : machines.front();
 
     // An unchanged group (same members, mode, GPUs, every member still
     // running under the same key) keeps its incarnation; anything else
     // opens a new one.
+    key_.assign(group->members, group->mode, group->num_gpus);
+    const auto same_key = [this](const JobState& s) {
+      return s.phase == JobPhase::kRunning && s.acct->key == key_;
+    };
     bool group_unchanged = true;
     for (JobId id : group->members) {
-      const JobState& s = slot(id);
-      group_unchanged =
-          group_unchanged && s.phase == JobPhase::kRunning && s.key == key;
+      group_unchanged = group_unchanged && same_key(slot(id));
     }
     std::int64_t gid;
     GroupAccount* acct_ptr;
@@ -891,8 +889,8 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
       // Attribution follows the placement if the unchanged group moved.
       if (acct_ptr != nullptr) acct_ptr->machine = home;
     } else {
-      acct_ptr = open_account(group->members, home, group->mode,
-                              ex.gamma_pred, now_ + options_.restart_penalty);
+      acct_ptr = open_account(key_, home, ex.gamma_pred,
+                              now_ + options_.restart_penalty);
       gid = group_seq_;
     }
 
@@ -900,7 +898,7 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
       const JobId id = group->members[i];
       JobState& s = slot(id);
       const bool running = s.phase == JobPhase::kRunning;
-      const bool unchanged = running && s.key == key;
+      const bool unchanged = same_key(s);
       const double strag = straggler_factor_for(s.job, machines);
       if (!unchanged) {
         if (running) {
@@ -916,7 +914,6 @@ void ExecutionEngine::place(const std::vector<PlannedGroup>& plan) {
         } else {
           ++running_;
         }
-        s.key = key;
         s.ready_at = now_ + options_.restart_penalty;
         s.next_fault =
             fault_rate_ > 0
@@ -989,7 +986,8 @@ void ExecutionEngine::refresh_utilization() {
   for (JobId id : live_) {
     const JobState& s = slot(id);
     if (s.phase != JobPhase::kRunning || s.period <= 0) continue;
-    const double share = static_cast<double>(s.key.num_gpus) / total_gpus;
+    const double share =
+        static_cast<double>(s.acct->key.num_gpus) / total_gpus;
     for (int j = 0; j < kNumResources; ++j) {
       const double density =
           s.job.profile.stage_time[static_cast<size_t>(j)] / s.period;
@@ -1021,9 +1019,9 @@ void ExecutionEngine::observe_metrics() {
     } else if (s.phase == JobPhase::kRunning) {
       ++running;
       if (s.period > 0) rate_sum += s.job.profile.iteration_time() / s.period;
-      seen_groups_.emplace_back(s.group_id,
-                                static_cast<int>(s.key.members.size()));
-      if (s.key.members.size() > 1) {
+      const size_t width = s.acct->key.members.size();
+      seen_groups_.emplace_back(s.group_id, static_cast<int>(width));
+      if (width > 1) {
         gamma_sum += s.group_gamma;
         ++grouped;
       }
@@ -1115,7 +1113,7 @@ void ExecutionEngine::finalize(Time end, SimResult& result) {
       "Realized minus predicted gamma per retired multi-member group");
   double weight = 0, realized_sum = 0, error_sum = 0;
   for (const auto& [gid, acct] : group_accounts_) {
-    if (acct.size < 2) continue;
+    if (acct.key.members.size() < 2) continue;
     const double wall = acct.window_end - acct.window_start;
     const double stall =
         std::clamp(acct.ready_at - acct.window_start, 0.0, wall);
@@ -1174,7 +1172,8 @@ void ExecutionEngine::end_run_span(JobState& s) {
           (s.period * s.straggler_factor);
     }
   }
-  obs::TraceArgs args("group_size", static_cast<double>(s.key.members.size()),
+  const size_t group_size = s.acct != nullptr ? s.acct->key.members.size() : 0;
+  obs::TraceArgs args("group_size", static_cast<double>(group_size),
                       "gamma", s.group_gamma, "period", s.period, "degraded",
                       s.degraded ? 1.0 : 0.0);
   args.add("run", run_epoch_)

@@ -49,6 +49,7 @@
 #include "obs/trace.h"
 #include "profiler/profiler.h"
 #include "scheduler/scheduler.h"
+#include "sim/exec_model.h"
 #include "sim/simulator.h"
 
 namespace muri {
@@ -172,16 +173,19 @@ class ExecutionEngine {
     GroupMode mode = GroupMode::kExclusive;
     int num_gpus = 0;
     bool operator==(const GroupKey& other) const = default;
+    // Refills the key in place, reusing the capacity of `members`.
+    void assign(const std::vector<JobId>& ids, GroupMode m, int gpus);
   };
 
   // Utilization account for one group incarnation: an uninterrupted
-  // placement of one member set under one key. Busy seconds accumulate as
-  // members progress; realized γ is busy/active-window averaged over the
-  // resources the group uses (the interleave/group_efficiency averaging).
+  // placement of one member set under one key. The key lives here, once
+  // per incarnation, and every running member reaches it through its
+  // `acct`. Busy seconds accumulate as members progress; realized γ is
+  // busy/active-window averaged over the resources the group uses (the
+  // interleave/group_efficiency averaging).
   struct GroupAccount {
+    GroupKey key;
     MachineId machine = kInvalidMachine;  // home machine
-    int size = 0;
-    GroupMode mode = GroupMode::kExclusive;
     bool degraded = false;
     double gamma_predicted = 0;
     Time window_start = 0;
@@ -210,12 +214,11 @@ class ExecutionEngine {
     Duration period = 0;            // wall seconds per iteration
     Time next_fault = 0;            // failure while running (kInf = none)
     double group_gamma = 0;         // best-case γ of the current group
-    GroupKey key;
     OwnerId owner = kNoOwner;       // GPU-set owner of the current group
     double straggler_factor = 1.0;  // period inflation from stragglers
     bool degraded = false;          // group lost a member mid-round
     std::int64_t group_id = -1;     // current incarnation (-1 = none)
-    GroupAccount* acct = nullptr;
+    GroupAccount* acct = nullptr;   // set exactly while running
     Time first_scheduled = -1;
     Time end_time = -1;
     std::int64_t placed_round = 0;  // rounds_ of the last placement
@@ -233,7 +236,7 @@ class ExecutionEngine {
   };
 
   // A placed group: which jobs share which machines (maps machine faults
-  // back to resident jobs).
+  // back to resident jobs). Empty once every member has left.
   struct RunningGroup {
     std::vector<JobId> members;
     GroupMode mode = GroupMode::kExclusive;
@@ -260,15 +263,17 @@ class ExecutionEngine {
   // execution state reset, marked in the scheduler's delta).
   void leave_running(JobState& s, JobPhase to);
   // Drops `id` from its running group and returns the group, or null once
-  // it emptied (and was erased, its GPUs released if asked).
+  // it emptied (its GPUs released if asked).
   RunningGroup* leave_group(OwnerId owner, JobId id, bool release_if_empty);
-  static GroupKey make_key(const std::vector<JobId>& members, GroupMode mode,
-                           int num_gpus);
-  // Opens the account of a new incarnation at now(); its id is the new
-  // group_seq_.
-  GroupAccount* open_account(const std::vector<JobId>& members,
-                             MachineId home, GroupMode mode,
+  // Opens the account of a new incarnation of `key` at now(); its id is
+  // the new group_seq_.
+  GroupAccount* open_account(const GroupKey& key, MachineId home,
                              double gamma_predicted, Time ready_at);
+  // Runs the execution model over the members' true profiles into exec_.
+  void execute_group(const std::vector<JobId>& members, GroupMode mode,
+                     const std::vector<Resource>& slots,
+                     const std::vector<int>& offsets, Duration planned_period,
+                     bool degraded);
   void place(const std::vector<PlannedGroup>& plan);
   void replan_degraded(RunningGroup& g);
   void refresh_straggler_factors();
@@ -303,7 +308,25 @@ class ExecutionEngine {
   bool live_stale_ = false;
   // observe_metrics scratch: (group id, width) of each running job.
   std::vector<std::pair<std::int64_t, int>> seen_groups_;
-  std::map<OwnerId, RunningGroup> running_groups_;
+  // This round's placed groups, entry owner - 1 (owners are 1..k within a
+  // round), in ascending owner order. place() empties every entry but
+  // keeps its buffers, so a warm round allocates no group.
+  std::vector<RunningGroup> running_groups_;
+  // Round scratch, reused so that a warm round allocates nothing outside
+  // the scheduler: the scheduler's queue, the admitted groups with their
+  // owners, one group's GPUs, true profiles, stage times, execution and
+  // sorted key.
+  struct Admitted {
+    const PlannedGroup* group;
+    OwnerId owner;
+  };
+  std::vector<JobView> queue_;
+  std::vector<Admitted> admitted_;
+  std::vector<GpuId> gpus_;
+  std::vector<IterationProfile> profiles_;
+  std::vector<ResourceVector> stages_;
+  GroupExecution exec_;
+  GroupKey key_;
   std::vector<ResourceVector> machine_slow_;
   std::int64_t group_seq_ = 0;
   std::map<std::int64_t, GroupAccount> group_accounts_;

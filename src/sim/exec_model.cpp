@@ -20,19 +20,19 @@ double safe_log2_ratio(int hi, int lo) {
 
 }  // namespace
 
-GroupExecution compute_group_execution(
+void compute_group_execution(
     const std::vector<IterationProfile>& profiles, GroupMode mode,
     int max_gpus, int min_gpus, const std::vector<Resource>& slots,
     const std::vector<int>& offsets, Duration planned_period, bool degraded,
-    const ExecModelParams& params) {
-  GroupExecution out;
+    const ExecModelParams& params, std::vector<ResourceVector>& stages,
+    GroupExecution& out) {
+  out.gamma_pred = 0;
   out.effective_mode = mode;
   const auto p = profiles.size();
   out.periods.assign(p, 0.0);
-  if (p == 0) return out;
+  stages.clear();
+  if (p == 0) return;
 
-  std::vector<ResourceVector> stages;
-  stages.reserve(p);
   for (const IterationProfile& prof : profiles) {
     stages.push_back(prof.stage_time);
   }
@@ -116,7 +116,6 @@ GroupExecution compute_group_execution(
     out.gamma_pred = group_efficiency(stages, solo_sum);
     if (p == 1) out.effective_mode = GroupMode::kExclusive;
   }
-  return out;
 }
 
 }  // namespace muri

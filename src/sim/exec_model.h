@@ -72,7 +72,8 @@ struct GroupExecution {
   GroupMode effective_mode = GroupMode::kExclusive;
 };
 
-// Computes the execution of one placed group.
+// Computes the execution of one placed group into `out`, reusing its
+// buffers; `stages` is caller-owned scratch for the members' stage times.
 //
 // `slots`/`offsets`/`planned_period` are the scheduler's rotation schedule
 // for kInterleaved groups (empty/0 when unavailable — a malformed or
@@ -83,10 +84,11 @@ struct GroupExecution {
 // multi-member group that is not interleaved shares uncoordinated (the
 // survivors lost their rotation), where the plan path time-shares
 // sequentially.
-GroupExecution compute_group_execution(
+void compute_group_execution(
     const std::vector<IterationProfile>& profiles, GroupMode mode,
     int max_gpus, int min_gpus, const std::vector<Resource>& slots,
     const std::vector<int>& offsets, Duration planned_period, bool degraded,
-    const ExecModelParams& params);
+    const ExecModelParams& params, std::vector<ResourceVector>& stages,
+    GroupExecution& out);
 
 }  // namespace muri

@@ -230,7 +230,8 @@ TEST(Cluster, MachineAvailabilityShrinksAndRestoresPool) {
   EXPECT_EQ(cluster.available_machines(), 2);
   EXPECT_EQ(cluster.available_gpus(), 8);
 
-  ASSERT_TRUE(cluster.allocate(/*owner=*/7, 2).size() > 0);
+  std::vector<GpuId> gpus;
+  ASSERT_TRUE(cluster.allocate(/*owner=*/7, 2, gpus));
   cluster.set_machine_available(0, false);
   cluster.set_machine_available(1, false);
   EXPECT_EQ(cluster.available_machines(), 0);
