@@ -1,13 +1,14 @@
 // In-process sampling profiler, loaded with LD_PRELOAD:
 //
-//   LD_PRELOAD=build/tools/sampler/libmuri_sampler.so ./build/examples/trace_sim
+//   LD_PRELOAD=build/tools/libmuri_sampler.so ./build/examples/trace_sim
 //   python3 tools/fold_samples.py --root run_simulation muri-samples.*.txt
 //
-// SIGPROF fires after every millisecond of process CPU time (ITIMER_PROF)
-// and the handler stores the interrupted call stack as raw addresses. At
-// exit each address is written as module+offset, one sample per line, leaf
-// first, to muri-samples.<pid>.txt in the working directory;
-// tools/fold_samples.py symbolizes them with addr2line.
+// SIGPROF fires after every millisecond of process CPU time (ITIMER_PROF),
+// rounded up to the kernel's timer tick (4 ms at HZ=250, so ~250 samples
+// per CPU second), and the handler stores the interrupted call stack as raw
+// addresses. At exit each address is written as module+offset, one sample
+// per line, leaf first, to muri-samples.<pid>.txt in the working
+// directory; tools/fold_samples.py symbolizes them with addr2line.
 //
 // Two caveats. Samples land in libc too (malloc, free), which gprof never
 // samples. And a sample is charged to the instruction after the one that
